@@ -92,19 +92,39 @@ def _scenarios_from_args(args) -> list:
     return scenarios
 
 
-def _cmd_simulate(args) -> int:
-    scenarios = _scenarios_from_args(args)
-    reports = []
+def _run_each(scenarios, run, report) -> tuple[list, int]:
+    """Run every scenario; count and skip the refused ones.
+
+    A scenario whose run raises ValueError is named on stderr as ABORTED and
+    the loop moves on, so the caller writes the rows that ran and exits 1.
+    """
+    results = []
+    aborted = 0
     for spec in scenarios:
-        report = run_scenario(spec)
-        reports.append(report)
-        print(
-            f"{scenario_id(spec)}: c={report.c_mean:.4f} f={report.f_mean:.4f} "
-            f"F={report.fscore_mean:.4f} ({report.wall_seconds:.2f}s)"
-        )
+        try:
+            result = run(spec)
+        except ValueError as exc:
+            aborted += 1
+            print(f"ABORTED {scenario_id(spec)}: {exc}", file=sys.stderr)
+            continue
+        results.append(result)
+        report(spec, result)
+    return results, aborted
+
+
+def _print_metrics(spec, report) -> None:
+    print(
+        f"{scenario_id(spec)}: c={report.c_mean:.4f} min_c={min(report.c_reps):.4f} "
+        f"f={report.f_mean:.4f} F={report.fscore_mean:.4f} "
+        f"({report.wall_seconds:.2f}s)"
+    )
+
+
+def _cmd_simulate(args) -> int:
+    reports, aborted = _run_each(_scenarios_from_args(args), run_scenario, _print_metrics)
     text = metrics_to_csv(reports) if args.format == "csv" else metrics_to_json(reports)
     atomic_write_text(args.output, text)
-    return 0
+    return 1 if aborted else 0
 
 
 def _cmd_boxplot(args) -> int:
@@ -119,16 +139,19 @@ def _cmd_boxplot(args) -> int:
     return 0
 
 
+def _print_timing(spec, row) -> None:
+    print(
+        f"{row['variant']:<8} {row['family']:<20} {row['p']:>4} {row['n']:>6} "
+        f"{row['median_seconds']:>15.4f}"
+    )
+
+
 def _cmd_bench(args) -> int:
     scenarios = _scenarios_from_args(args)
-    rows = [bench_variant(spec, args.measurements) for spec in scenarios]
-    header = f"{'variant':<8} {'family':<20} {'p':>4} {'n':>6} {'median seconds':>15}"
-    print(header)
-    for row in rows:
-        print(
-            f"{row['variant']:<8} {row['family']:<20} {row['p']:>4} {row['n']:>6} "
-            f"{row['median_seconds']:>15.4f}"
-        )
+    print(f"{'variant':<8} {'family':<20} {'p':>4} {'n':>6} {'median seconds':>15}")
+    rows, aborted = _run_each(
+        scenarios, lambda spec: bench_variant(spec, args.measurements), _print_timing
+    )
     if args.output:
         lines = ["variant,family,p,n,measurements,median_seconds"]
         lines += [
@@ -137,7 +160,7 @@ def _cmd_bench(args) -> int:
             for r in rows
         ]
         atomic_write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    return 1 if aborted else 0
 
 
 _COMMANDS = {

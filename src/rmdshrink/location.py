@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primitives import adjusted_comedian, as_data_matrix
+from .primitives import COMEDIAN_ADJUST, as_data_matrix
 
 # Norm floor below which a centered observation carries no direction
 # information and is skipped by the sandwich averages.
@@ -150,16 +150,22 @@ def shrink_ccm(data) -> LocationEstimate:
     if n < 2:
         raise ValueError("need at least two observations")
     mu = np.median(X, axis=0)
-    S = adjusted_comedian(X, mu)
-    numerator = math.pi / (2.0 * n) * float(np.trace(S))
+    # The trace of the adjusted comedian at mu, without building the p x p matrix.
+    Y = X - mu
+    trace_S = float(np.sum(COMEDIAN_ADJUST * np.median(Y * Y, axis=0)))
+    numerator = math.pi / (2.0 * n) * trace_S
     center, eta, nu = _shrink_toward_common(mu, numerator)
     return LocationEstimate(center=center, method="shrink_ccm", eta=eta, nu_mu=nu)
+
+
+def _shrink_mm_at(X: np.ndarray, mu: np.ndarray) -> LocationEstimate:
+    # Shrink an already computed multivariate median mu of the rows of X.
+    numerator = sandwich_trace(X, mu)
+    center, eta, nu = _shrink_toward_common(mu, numerator)
+    return LocationEstimate(center=center, method="shrink_mm", eta=eta, nu_mu=nu)
 
 
 def shrink_mm(data, mode: str = "medoid") -> LocationEstimate:
     """Shrink the multivariate median toward an equal-coordinate vector."""
     X = as_data_matrix(data)
-    mu = l1_median(X, mode=mode).center
-    numerator = sandwich_trace(X, mu)
-    center, eta, nu = _shrink_toward_common(mu, numerator)
-    return LocationEstimate(center=center, method="shrink_mm", eta=eta, nu_mu=nu)
+    return _shrink_mm_at(X, l1_median(X, mode=mode).center)

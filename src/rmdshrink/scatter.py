@@ -7,7 +7,14 @@ from functools import partial
 
 import numpy as np
 
-from .location import LocationEstimate, ccm_median, l1_median, shrink_ccm, shrink_mm
+from .location import (
+    LocationEstimate,
+    _shrink_mm_at,
+    ccm_median,
+    l1_median,
+    shrink_ccm,
+    shrink_mm,
+)
 from .primitives import PDMatrix, adjusted_comedian, as_data_matrix
 
 _DISPERSION_FLOOR = 1e-12
@@ -91,14 +98,14 @@ def scatter_for_variant(data, variant: str) -> tuple[LocationEstimate, ScatterEs
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}") from None
 
-    estimates: dict[str, LocationEstimate] = {}
-
-    def estimate(method: str) -> LocationEstimate:
-        if method not in estimates:
-            estimates[method] = _LOCATION_FNS[method](X)
-        return estimates[method]
-
-    loc = estimate(loc_method)
-    base = estimate(center_method)
+    base = _LOCATION_FNS[center_method](X)
+    if loc_method == center_method:
+        loc = base
+    elif (loc_method, center_method) == ("shrink_mm", "mm"):
+        # v5 shrinks the spatial median its comedian is centred at, so the
+        # median is solved once.
+        loc = _shrink_mm_at(X, base.center)
+    else:
+        loc = _LOCATION_FNS[loc_method](X)
     scat = shrink_scatter(X, base.center, base_center_method=center_method)
     return loc, scat

@@ -63,6 +63,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.p < 1 or self.n < 1:
             raise ValueError("p and n must be positive")
+        if self.family == "CorrelatedNormal" and self.p != 6:
+            raise ValueError("CorrelatedNormal requires p = 6")
         if not 0.0 <= self.alpha <= 0.5:
             raise ValueError("alpha must lie in [0, 0.5]")
         if self.delta < 0.0:

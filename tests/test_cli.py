@@ -2,12 +2,20 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rmdshrink.cli import main
-from rmdshrink.io import metrics_rows_from_csv, metrics_rows_from_json
+from rmdshrink.io import (
+    metrics_rows_from_csv,
+    metrics_rows_from_json,
+    parse_scenarios,
+    scenario_id,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_planted_csv(path, seed=42, n=60, p=3, k=3, header=None):
@@ -34,6 +42,13 @@ def tiny_config(reps=2, seed=11, variant="v1"):
         "seed": seed,
         "variant": variant,
     }
+
+
+def refused_between_good_configs():
+    """A good scenario, one v6 refuses structurally (n < p), another good one."""
+    refused = tiny_config(variant="v6")
+    refused.update(p=5, n=4)
+    return [tiny_config(), refused, tiny_config(seed=12, variant="v4")]
 
 
 class TestDetect:
@@ -194,6 +209,46 @@ class TestSimulate:
         assert [p for p in os.listdir(tmp_path) if p.endswith(".part")] == []
 
 
+    @pytest.mark.filterwarnings("ignore:fewer observations than dimensions")
+    def test_refused_scenario_is_skipped_and_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        configs = refused_between_good_configs()
+        cfg.write_text(json.dumps(configs))
+        out = tmp_path / "m.csv"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out)])
+        assert code == 1
+        refused_id = scenario_id(parse_scenarios(json.dumps(configs[1]))[0])
+        assert f"ABORTED {refused_id}: " in capsys.readouterr().err
+        rows = metrics_rows_from_csv(out.read_text())
+        assert [(r["variant"], r["seed"]) for r in rows] == [("v1", 11), ("v4", 12)]
+
+    def test_status_line_reports_smallest_replicate_c(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "m.json"
+        assert main(["simulate", "--config", str(cfg), "--format", "json",
+                     "--output", str(out)]) == 0
+        assert "min_c=" in capsys.readouterr().out
+
+
+class TestConfigs:
+    EXPECTED = {
+        "normal_grid.json": 36,
+        "heavy_tails.json": 18,
+        "breakdown.json": 20,
+        "transformed.json": 39,
+        "timing.json": 18,
+    }
+
+    def test_every_config_parses_with_its_scenario_count(self):
+        assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(self.EXPECTED)
+        for name, count in self.EXPECTED.items():
+            specs = parse_scenarios((CONFIGS / name).read_text())
+            assert len(specs) == count, name
+            ids = [scenario_id(s) for s in specs]
+            assert len(set(ids)) == len(ids), name
+
+
 class TestBoxplot:
     def test_counts_partition(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -224,3 +279,20 @@ class TestBench:
         assert lines[0] == "variant,family,p,n,measurements,median_seconds"
         cells = lines[1].split(",")
         assert cells[0] == "v1" and float(cells[5]) > 0
+
+    @pytest.mark.filterwarnings("ignore:fewer observations than dimensions")
+    def test_refused_scenario_is_skipped_and_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        configs = refused_between_good_configs()
+        cfg.write_text(json.dumps(configs))
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--config", str(cfg), "--measurements", "3",
+                     "--output", str(out)])
+        assert code == 1
+        refused_id = scenario_id(parse_scenarios(json.dumps(configs[1]))[0])
+        assert f"ABORTED {refused_id}: " in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[:4] for line in lines[1:]] == [
+            ["v1", "NormalMixture", "2", "40"],
+            ["v4", "NormalMixture", "2", "40"],
+        ]

@@ -45,6 +45,7 @@ class TestScenarioSpec:
         dict(n=0),
         dict(delta=-1.0),
         dict(variant="v7"),
+        dict(family="CorrelatedNormal", p=5),
     ])
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ValueError):
