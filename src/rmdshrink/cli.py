@@ -23,6 +23,13 @@ from .scatter import VARIANTS
 from .simulate import bench_variant, run_scenario
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmdshrink",
@@ -62,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time detection per scenario and variant")
     p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--measurements", type=int, default=5)
+    p_bench.add_argument("--measurements", type=_positive_int, default=5)
     p_bench.add_argument("--output", default=None, help="optional CSV destination")
     return parser
 

@@ -52,7 +52,8 @@ def boxplot_summary(data, flags) -> BoxplotSummary:
 
     Rows are ordered by descending depth; the box spans the component-wise
     min and max of the deepest half, and the fences extend it by 1.5 box
-    widths. Flagged rows are split into those inside the fences in every
+    widths. The median point is the spatial median, the point of greatest
+    L1 depth. Flagged rows are split into those inside the fences in every
     coordinate and those outside in at least one.
     """
     X = as_data_matrix(data)

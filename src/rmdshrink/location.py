@@ -34,23 +34,6 @@ def ccm_median(data) -> LocationEstimate:
     return LocationEstimate(center=np.median(X, axis=0), method="ccm")
 
 
-def _medoid_index(X: np.ndarray) -> int:
-    # Mean L1 distance from each sample point to the whole sample, via
-    # per-column prefix sums in O(p n log n). argmin returns the first
-    # minimum, which is the lowest-index tie-break.
-    n = X.shape[0]
-    objective = np.zeros(n)
-    for col in X.T:
-        order = np.sort(col)
-        pref = np.concatenate(([0.0], np.cumsum(order)))
-        total = pref[-1]
-        k = np.searchsorted(order, col, side="left")
-        below = col * k - pref[k]
-        above = (total - pref[k]) - col * (n - k)
-        objective += below + above
-    return int(np.argmin(objective))
-
-
 def _weiszfeld(X: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
     # Euclidean geometric median with the standard handling of iterates
     # that land on data points.
@@ -77,22 +60,15 @@ def _weiszfeld(X: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> np.nda
     return y
 
 
-def l1_median(data, mode: str = "medoid") -> LocationEstimate:
-    """Multivariate median minimizing mean distance to the sample.
+def l1_median(data, mode: str = "geometric") -> LocationEstimate:
+    """Spatial (Euclidean L1) median of Vardi & Zhang, by Weiszfeld iteration.
 
-    The default evaluates the mean L1-norm objective over the sample points
-    themselves and returns the minimizing observation (lowest row index on
-    ties). mode="geometric" instead iterates to the continuous Euclidean
-    geometric (spatial) median, which the detector variants use.
+    It minimizes the mean Euclidean distance to the rows. "geometric" is the
+    only mode; the keyword stays for callers that pass it.
     """
-    X = as_data_matrix(data)
-    if mode == "medoid":
-        center = X[_medoid_index(X)].copy()
-    elif mode == "geometric":
-        center = _weiszfeld(X)
-    else:
+    if mode != "geometric":
         raise ValueError(f"unknown mode {mode!r}")
-    return LocationEstimate(center=center, method="mm")
+    return LocationEstimate(center=_weiszfeld(as_data_matrix(data)), method="mm")
 
 
 def sandwich_trace(data, center) -> float:
@@ -138,18 +114,11 @@ def _shrink_toward_common(mu: np.ndarray, numerator: float) -> tuple[np.ndarray,
     return (1.0 - eta) * mu + eta * nu, eta, nu
 
 
-def shrink_ccm(data) -> LocationEstimate:
-    """Shrink the component-wise median toward an equal-coordinate vector.
-
-    The intensity balances a variance proxy for the component-wise median
-    (adjusted-comedian trace scaled by pi/2n) against the squared distance
-    to the target nu * ones.
-    """
-    X = as_data_matrix(data)
+def _shrink_ccm_at(X: np.ndarray, mu: np.ndarray) -> LocationEstimate:
+    # Shrink an already computed component-wise median mu of the rows of X.
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least two observations")
-    mu = np.median(X, axis=0)
     # The trace of the adjusted comedian at mu, without building the p x p matrix.
     Y = X - mu
     trace_S = float(np.sum(COMEDIAN_ADJUST * np.median(Y * Y, axis=0)))
@@ -158,14 +127,25 @@ def shrink_ccm(data) -> LocationEstimate:
     return LocationEstimate(center=center, method="shrink_ccm", eta=eta, nu_mu=nu)
 
 
+def shrink_ccm(data) -> LocationEstimate:
+    """Shrink the component-wise median toward an equal-coordinate vector.
+
+    The intensity balances a variance proxy for the component-wise median
+    (adjusted-comedian trace scaled by pi/2n) against the squared distance
+    to the target nu * ones.
+    """
+    X = as_data_matrix(data)
+    return _shrink_ccm_at(X, np.median(X, axis=0))
+
+
 def _shrink_mm_at(X: np.ndarray, mu: np.ndarray) -> LocationEstimate:
-    # Shrink an already computed multivariate median mu of the rows of X.
+    # Shrink an already computed spatial median mu of the rows of X.
     numerator = sandwich_trace(X, mu)
     center, eta, nu = _shrink_toward_common(mu, numerator)
     return LocationEstimate(center=center, method="shrink_mm", eta=eta, nu_mu=nu)
 
 
-def shrink_mm(data, mode: str = "medoid") -> LocationEstimate:
-    """Shrink the multivariate median toward an equal-coordinate vector."""
+def shrink_mm(data) -> LocationEstimate:
+    """Shrink the spatial median toward an equal-coordinate vector."""
     X = as_data_matrix(data)
-    return _shrink_mm_at(X, l1_median(X, mode=mode).center)
+    return _shrink_mm_at(X, l1_median(X).center)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .location import (
     LocationEstimate,
+    _shrink_ccm_at,
     _shrink_mm_at,
     ccm_median,
     l1_median,
@@ -31,15 +31,15 @@ VARIANTS: dict[str, tuple[str, str]] = {
     "v6": ("shrink_mm", "shrink_mm"),
 }
 
-# The multivariate-median variants center at the spatial (Euclidean L1)
-# median, whose asymptotic variance sandwich_trace estimates; the public
-# default of l1_median and shrink_mm is the medoid.
 _LOCATION_FNS = {
     "ccm": ccm_median,
-    "mm": partial(l1_median, mode="geometric"),
+    "mm": l1_median,
     "shrink_ccm": shrink_ccm,
-    "shrink_mm": partial(shrink_mm, mode="geometric"),
+    "shrink_mm": shrink_mm,
 }
+
+# Raw median -> shrink of that median, given the rows and the median.
+_SHRINK_AT = {"ccm": _shrink_ccm_at, "mm": _shrink_mm_at}
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,9 @@ class ScatterEstimate:
     matrix: PDMatrix
     eta: float
     nu_sigma: float
-    base_center_method: str
 
 
-def shrink_scatter(data, center, base_center_method: str = "ccm") -> ScatterEstimate:
+def shrink_scatter(data, center) -> ScatterEstimate:
     """Shrink the adjusted comedian at the given center toward nu * I.
 
     nu is trace/p, so the combination preserves the trace. The intensity is
@@ -82,12 +81,7 @@ def shrink_scatter(data, center, base_center_method: str = "ccm") -> ScatterEsti
     else:
         eta = min(max(min(b2, d2) / d2, 0.0), 1.0)
     combined = (1.0 - eta) * S + eta * nu * np.eye(p)
-    return ScatterEstimate(
-        matrix=PDMatrix.from_symmetric(combined),
-        eta=eta,
-        nu_sigma=nu,
-        base_center_method=base_center_method,
-    )
+    return ScatterEstimate(matrix=PDMatrix.from_symmetric(combined), eta=eta, nu_sigma=nu)
 
 
 def scatter_for_variant(data, variant: str) -> tuple[LocationEstimate, ScatterEstimate]:
@@ -99,13 +93,7 @@ def scatter_for_variant(data, variant: str) -> tuple[LocationEstimate, ScatterEs
         raise ValueError(f"unknown variant {variant!r}") from None
 
     base = _LOCATION_FNS[center_method](X)
-    if loc_method == center_method:
-        loc = base
-    elif (loc_method, center_method) == ("shrink_mm", "mm"):
-        # v5 shrinks the spatial median its comedian is centred at, so the
-        # median is solved once.
-        loc = _shrink_mm_at(X, base.center)
-    else:
-        loc = _LOCATION_FNS[loc_method](X)
-    scat = shrink_scatter(X, base.center, base_center_method=center_method)
-    return loc, scat
+    # The reported center is the centering estimate itself, or the shrink of
+    # the raw median the comedian is centered at, so each median is computed once.
+    loc = base if loc_method == center_method else _SHRINK_AT[center_method](X, base.center)
+    return loc, shrink_scatter(X, base.center)

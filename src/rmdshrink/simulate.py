@@ -127,8 +127,6 @@ def gen_exp_mixture(spec: ScenarioSpec, rng: np.random.Generator):
 
 def gen_correlated(spec: ScenarioSpec, rng: np.random.Generator):
     """Correlated normal rows under the fixed 6x6 block structure."""
-    if spec.p != 6:
-        raise ValueError("CorrelatedNormal requires p = 6")
     k = spec.n_outliers
     L = np.linalg.cholesky(correlation_matrix())
     X = rng.standard_normal((spec.n, 6)) @ L.T
@@ -252,7 +250,8 @@ def run_scenario(spec: ScenarioSpec) -> MetricsReport:
 
 def bench_variant(spec: ScenarioSpec, measurements: int = 5) -> dict:
     """Median wall time of a single detection on freshly generated data."""
-    measurements = max(3, int(measurements))
+    if measurements < 1:
+        raise ValueError("measurements must be at least 1")
     times = []
     for i in range(measurements):
         rng = np.random.default_rng(spec.seed + i)

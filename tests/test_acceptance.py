@@ -260,7 +260,7 @@ def test_criterion_09_ccm_location_intensity_minimizes_risk(seed):
 def test_criterion_09_spatial_location_intensity_minimizes_risk(seed):
     rng = np.random.default_rng(seed + 100)
     X = rng.standard_normal((35, 3)) + rng.uniform(-3.0, 3.0, size=3)
-    est = shrink_mm(X, mode="geometric")
+    est = shrink_mm(X)
     raw = l1_median(X, mode="geometric").center
     numerator = sandwich_trace(X, raw)
     gap = raw - raw.mean()

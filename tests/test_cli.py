@@ -280,6 +280,14 @@ class TestBench:
         cells = lines[1].split(",")
         assert cells[0] == "v1" and float(cells[5]) > 0
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_measurements_below_one_is_a_usage_error(self, tmp_path, count):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tiny_config()))
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--config", str(cfg), "--measurements", count])
+        assert err.value.code == 2
+
     @pytest.mark.filterwarnings("ignore:fewer observations than dimensions")
     def test_refused_scenario_is_skipped_and_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

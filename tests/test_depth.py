@@ -99,6 +99,8 @@ class TestBoxplotSummary:
         X = rng.standard_normal((15, 2))
         out = boxplot_summary(X, np.zeros(15, dtype=bool))
         assert np.array_equal(out.median_point, l1_median(X).center)
+        # The spatial median is the deepest point of the L1 depth.
+        assert l1_depth(X, out.median_point) == pytest.approx(1.0, abs=1e-6)
 
     def test_flags_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

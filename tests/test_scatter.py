@@ -175,8 +175,8 @@ class TestScatterForVariant:
         rng = np.random.default_rng(56)
         X = rng.standard_normal((30, 3)) + np.array([0.0, 2.0, 4.0])
         loc, scat = scatter_for_variant(X, "v6")
-        mm = shrink_mm(X, mode="geometric")
-        want = shrink_scatter(X, mm.center, base_center_method="shrink_mm")
+        mm = shrink_mm(X)
+        want = shrink_scatter(X, mm.center)
         assert np.allclose(loc.center, mm.center, atol=1e-14)
         assert np.array_equal(scat.matrix.entries, want.matrix.entries)
 

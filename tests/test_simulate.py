@@ -254,9 +254,14 @@ class TestRunScenario:
 
 
 class TestBench:
-    def test_reports_median_of_at_least_three(self):
+    def test_uses_the_count_given(self):
         spec = spec_for("NormalMixture", p=5, n=60, reps=1)
         out = bench_variant(spec, measurements=1)
-        assert out["measurements"] == 3
+        assert out["measurements"] == 1
         assert out["median_seconds"] > 0.0
         assert out["variant"] == "v6"
+
+    def test_count_below_one_rejected(self):
+        spec = spec_for("NormalMixture", p=5, n=60, reps=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            bench_variant(spec, measurements=0)
