@@ -17,17 +17,11 @@ from .io import (
     metrics_to_csv,
     metrics_to_json,
     parse_scenarios,
+    rows_to_csv,
     scenario_id,
 )
 from .scatter import VARIANTS
 from .simulate import bench_variant, run_scenario
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time detection per scenario and variant")
     p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--measurements", type=_positive_int, default=5)
     p_bench.add_argument("--output", default=None, help="optional CSV destination")
     return parser
 
@@ -153,20 +146,15 @@ def _print_timing(spec, row) -> None:
     )
 
 
+_BENCH_COLUMNS = ("variant", "family", "p", "n", "measurements", "median_seconds")
+
+
 def _cmd_bench(args) -> int:
     scenarios = _scenarios_from_args(args)
     print(f"{'variant':<8} {'family':<20} {'p':>4} {'n':>6} {'median seconds':>15}")
-    rows, aborted = _run_each(
-        scenarios, lambda spec: bench_variant(spec, args.measurements), _print_timing
-    )
+    rows, aborted = _run_each(scenarios, bench_variant, _print_timing)
     if args.output:
-        lines = ["variant,family,p,n,measurements,median_seconds"]
-        lines += [
-            f"{r['variant']},{r['family']},{r['p']},{r['n']},"
-            f"{r['measurements']},{r['median_seconds']!r}"
-            for r in rows
-        ]
-        atomic_write_text(args.output, "\n".join(lines) + "\n")
+        atomic_write_text(args.output, rows_to_csv(_BENCH_COLUMNS, rows))
     return 1 if aborted else 0
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -60,6 +61,8 @@ def load_csv(path, has_header: bool = False) -> tuple[np.ndarray, list[str] | No
         if not rows:
             raise ValueError(f"{path}: no data rows below the header")
     width = len(rows[0])
+    if names is not None and len(names) != width:
+        raise ValueError(f"{path}: header has {len(names)} cells, expected {width}")
     data = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         line = first_data_row + i
@@ -110,15 +113,22 @@ def _scenario_from_mapping(obj, index: int) -> ScenarioSpec:
     missing = _SCENARIO_KEYS - set(obj)
     if missing:
         raise ValueError(f"scenario {index}: missing keys {sorted(missing)}")
+    for key in ("p", "n", "reps", "seed"):
+        if type(obj[key]) is not int:
+            raise ValueError(f"scenario {index}: {key} must be an integer, got {obj[key]!r}")
+    for key in ("alpha", "delta", "lambda"):
+        # NaN fails the comparison; an int past the float range would overflow float().
+        if type(obj[key]) not in (int, float) or not abs(obj[key]) <= sys.float_info.max:
+            raise ValueError(f"scenario {index}: {key} must be a finite number, got {obj[key]!r}")
     return ScenarioSpec(
         family=obj["family"],
-        p=int(obj["p"]),
-        n=int(obj["n"]),
+        p=obj["p"],
+        n=obj["n"],
         alpha=float(obj["alpha"]),
         delta=float(obj["delta"]),
         lam=float(obj["lambda"]),
-        reps=int(obj["reps"]),
-        seed=int(obj["seed"]),
+        reps=obj["reps"],
+        seed=obj["seed"],
         variant=obj["variant"],
     )
 
@@ -166,13 +176,18 @@ def metrics_to_json(reports) -> str:
     return json.dumps([metrics_row(r) for r in reports], indent=2) + "\n"
 
 
-def metrics_to_csv(reports) -> str:
+def rows_to_csv(columns, rows) -> str:
+    """CSV with a header row; floats are written with repr so they read back exactly."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_METRIC_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for report in reports:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in metrics_row(report).items()})
+    for row in rows:
+        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
     return buffer.getvalue()
+
+
+def metrics_to_csv(reports) -> str:
+    return rows_to_csv(_METRIC_COLUMNS, (metrics_row(r) for r in reports))
 
 
 def metrics_rows_from_json(text: str) -> list[dict]:
@@ -209,12 +224,11 @@ def detection_to_json(report: DetectionReport, column_names=None) -> str:
 
 
 def detection_to_csv(report: DetectionReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("index", "d2", "flag"))
-    for i, (d2, flag) in enumerate(zip(report.d2, report.flags)):
-        writer.writerow((i, repr(float(d2)), int(flag)))
-    return buffer.getvalue()
+    rows = (
+        {"index": i, "d2": float(d2), "flag": int(flag)}
+        for i, (d2, flag) in enumerate(zip(report.d2, report.flags))
+    )
+    return rows_to_csv(("index", "d2", "flag"), rows)
 
 
 def boxplot_to_json(summary: BoxplotSummary, data, flags, report: DetectionReport) -> str:

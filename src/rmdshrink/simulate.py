@@ -91,6 +91,7 @@ class MetricsReport:
     f_reps: tuple[float, ...]
     fscore_reps: tuple[float, ...]
     wall_seconds: float
+    detect_seconds: tuple[float, ...]
 
 
 def _truth(spec: ScenarioSpec) -> np.ndarray:
@@ -219,9 +220,11 @@ def run_scenario(spec: ScenarioSpec) -> MetricsReport:
     cs: list[float] = []
     fs: list[float] = []
     fscores: list[float] = []
+    seconds: list[float] = []
     for r in range(spec.reps):
         rng = np.random.default_rng(spec.seed + r)
         X, truth = generate(spec, rng)
+        t_detect = time.perf_counter()
         try:
             report = detect(X, spec.variant, DEFAULT_QUANTILE)
         except ValueError as exc:
@@ -231,6 +234,7 @@ def run_scenario(spec: ScenarioSpec) -> MetricsReport:
                 f"delta={spec.delta:g} lambda={spec.lam:g} "
                 f"variant={spec.variant}: {exc}"
             ) from exc
+        seconds.append(time.perf_counter() - t_detect)
         c, f, fscore = metrics(report.flags, truth)
         cs.append(c)
         fs.append(f)
@@ -245,25 +249,17 @@ def run_scenario(spec: ScenarioSpec) -> MetricsReport:
         f_reps=tuple(fs),
         fscore_reps=tuple(fscores),
         wall_seconds=wall,
+        detect_seconds=tuple(seconds),
     )
 
 
-def bench_variant(spec: ScenarioSpec, measurements: int = 5) -> dict:
-    """Median wall time of a single detection on freshly generated data."""
-    if measurements < 1:
-        raise ValueError("measurements must be at least 1")
-    times = []
-    for i in range(measurements):
-        rng = np.random.default_rng(spec.seed + i)
-        X, _ = generate(spec, rng)
-        t0 = time.perf_counter()
-        detect(X, spec.variant, DEFAULT_QUANTILE)
-        times.append(time.perf_counter() - t0)
+def bench_variant(spec: ScenarioSpec) -> dict:
+    """Median wall time of one detection over the scenario's replicates."""
     return {
         "variant": spec.variant,
         "family": spec.family,
         "p": spec.p,
         "n": spec.n,
-        "measurements": measurements,
-        "median_seconds": float(np.median(times)),
+        "measurements": spec.reps,
+        "median_seconds": float(np.median(run_scenario(spec).detect_seconds)),
     }

@@ -89,6 +89,16 @@ class TestDetect:
         assert code == 0
         assert json.loads(out.read_text())["columns"] == ["a", "b", "c"]
 
+    def test_header_of_the_wrong_width_is_rejected(self, tmp_path, capsys):
+        data = tmp_path / "named.csv"
+        out = tmp_path / "report.json"
+        write_planted_csv(data, p=2, header=["a", "b", "c"])
+        code = main(["detect", "--input", str(data), "--has-header",
+                     "--output", str(out)])
+        assert code == 1
+        assert "header has 3 cells, expected 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_variant_is_a_usage_error(self, tmp_path):
         data = tmp_path / "data.csv"
         write_planted_csv(data)
@@ -179,6 +189,31 @@ class TestSimulate:
         assert code == 1
         assert "missing keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,literal", [
+        ("p", "2.9"),
+        ("p", "1e400"),
+        ("n", "40.0"),
+        ("reps", "2.7"),
+        ("reps", "true"),
+        ("seed", "null"),
+        ("alpha", '"0.1"'),
+        ("delta", "false"),
+        ("lambda", "NaN"),
+        ("lambda", "1e400"),
+    ])
+    def test_config_number_of_the_wrong_type_is_rejected(self, tmp_path, capsys,
+                                                         key, literal):
+        body = tiny_config()
+        body[key] = "<value>"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body).replace('"<value>"', literal))
+        code = main(["simulate", "--config", str(cfg),
+                     "--output", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"scenario 0: {key} must be" in err
+        assert "Traceback" not in err
+
     def test_malformed_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -248,6 +283,10 @@ class TestConfigs:
             ids = [scenario_id(s) for s in specs]
             assert len(set(ids)) == len(ids), name
 
+    def test_timing_scenarios_are_medians_of_at_least_five_runs(self):
+        specs = parse_scenarios((CONFIGS / "timing.json").read_text())
+        assert all(s.reps >= 5 for s in specs)
+
 
 class TestBoxplot:
     def test_counts_partition(self, tmp_path, capsys):
@@ -270,8 +309,7 @@ class TestBench:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(tiny_config()))
         out = tmp_path / "bench.csv"
-        code = main(["bench", "--config", str(cfg), "--measurements", "2",
-                     "--output", str(out)])
+        code = main(["bench", "--config", str(cfg), "--output", str(out)])
         assert code == 0
         stdout = capsys.readouterr().out
         assert "median seconds" in stdout and "v1" in stdout
@@ -280,25 +318,19 @@ class TestBench:
         cells = lines[1].split(",")
         assert cells[0] == "v1" and float(cells[5]) > 0
 
-    @pytest.mark.parametrize("count", ["0", "-5"])
-    def test_measurements_below_one_is_a_usage_error(self, tmp_path, count):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(tiny_config()))
-        with pytest.raises(SystemExit) as err:
-            main(["bench", "--config", str(cfg), "--measurements", count])
-        assert err.value.code == 2
-
     @pytest.mark.filterwarnings("ignore:fewer observations than dimensions")
     def test_refused_scenario_is_skipped_and_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         configs = refused_between_good_configs()
         cfg.write_text(json.dumps(configs))
         out = tmp_path / "bench.csv"
-        code = main(["bench", "--config", str(cfg), "--measurements", "3",
-                     "--output", str(out)])
+        code = main(["bench", "--config", str(cfg), "--output", str(out)])
         assert code == 1
         refused_id = scenario_id(parse_scenarios(json.dumps(configs[1]))[0])
-        assert f"ABORTED {refused_id}: " in capsys.readouterr().err
+        aborted = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith(f"ABORTED {refused_id}: ")]
+        assert len(aborted) == 1
+        assert "replicate 0 (seed 11)" in aborted[0]
         lines = out.read_text().splitlines()
         assert [line.split(",")[:4] for line in lines[1:]] == [
             ["v1", "NormalMixture", "2", "40"],

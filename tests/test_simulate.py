@@ -255,13 +255,11 @@ class TestRunScenario:
 
 class TestBench:
     def test_uses_the_count_given(self):
-        spec = spec_for("NormalMixture", p=5, n=60, reps=1)
-        out = bench_variant(spec, measurements=1)
-        assert out["measurements"] == 1
+        spec = spec_for("NormalMixture", p=5, n=60, reps=3)
+        out = bench_variant(spec)
+        assert out["measurements"] == spec.reps
         assert out["median_seconds"] > 0.0
         assert out["variant"] == "v6"
-
-    def test_count_below_one_rejected(self):
-        spec = spec_for("NormalMixture", p=5, n=60, reps=1)
-        with pytest.raises(ValueError, match="at least 1"):
-            bench_variant(spec, measurements=0)
+        seconds = run_scenario(spec).detect_seconds
+        assert len(seconds) == spec.reps
+        assert all(t > 0.0 for t in seconds)
