@@ -15,7 +15,6 @@ from .io import (
     detection_to_json,
     load_csv,
     metrics_to_csv,
-    metrics_to_json,
     parse_scenarios,
     rows_to_csv,
     scenario_id,
@@ -47,9 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--has-header", action="store_true", help="first row holds column names"
     )
 
-    p_sim = sub.add_parser("simulate", help="run scenario configs and write metrics")
+    p_sim = sub.add_parser("simulate", help="run scenario configs and write a metrics CSV")
     p_sim.add_argument("--config", required=True, help="JSON scenario file")
-    p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--output", required=True)
 
     p_box = sub.add_parser(
@@ -122,8 +120,7 @@ def _print_metrics(spec, report) -> None:
 
 def _cmd_simulate(args) -> int:
     reports, aborted = _run_each(_scenarios_from_args(args), run_scenario, _print_metrics)
-    text = metrics_to_csv(reports) if args.format == "csv" else metrics_to_json(reports)
-    atomic_write_text(args.output, text)
+    atomic_write_text(args.output, metrics_to_csv(reports))
     return 1 if aborted else 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,16 +17,9 @@ from .depth import BoxplotSummary
 from .detector import DetectionReport
 from .simulate import MetricsReport, ScenarioSpec
 
+# Config key -> ScenarioSpec field; the config spells lam as "lambda".
 _SCENARIO_KEYS = {
-    "family",
-    "p",
-    "n",
-    "alpha",
-    "delta",
-    "lambda",
-    "reps",
-    "seed",
-    "variant",
+    "lambda" if f.name == "lam" else f.name: f.name for f in dataclasses.fields(ScenarioSpec)
 }
 
 _METRIC_COLUMNS = (
@@ -48,7 +42,8 @@ _METRIC_COLUMNS = (
 
 def load_csv(path, has_header: bool = False) -> tuple[np.ndarray, list[str] | None]:
     """Read a rectangular numeric CSV into a matrix, plus header names if any."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports start with.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -107,12 +102,13 @@ def atomic_write_text(path, text: str) -> None:
 def _scenario_from_mapping(obj, index: int) -> ScenarioSpec:
     if not isinstance(obj, dict):
         raise ValueError(f"scenario {index}: expected a JSON object")
-    unknown = set(obj) - _SCENARIO_KEYS
+    unknown = obj.keys() - _SCENARIO_KEYS.keys()
     if unknown:
         raise ValueError(f"scenario {index}: unknown keys {sorted(unknown)}")
-    missing = _SCENARIO_KEYS - set(obj)
+    missing = _SCENARIO_KEYS.keys() - obj.keys()
     if missing:
         raise ValueError(f"scenario {index}: missing keys {sorted(missing)}")
+    fields = {_SCENARIO_KEYS[key]: value for key, value in obj.items()}
     for key in ("p", "n", "reps", "seed"):
         if type(obj[key]) is not int:
             raise ValueError(f"scenario {index}: {key} must be an integer, got {obj[key]!r}")
@@ -120,17 +116,11 @@ def _scenario_from_mapping(obj, index: int) -> ScenarioSpec:
         # NaN fails the comparison; an int past the float range would overflow float().
         if type(obj[key]) not in (int, float) or not abs(obj[key]) <= sys.float_info.max:
             raise ValueError(f"scenario {index}: {key} must be a finite number, got {obj[key]!r}")
-    return ScenarioSpec(
-        family=obj["family"],
-        p=obj["p"],
-        n=obj["n"],
-        alpha=float(obj["alpha"]),
-        delta=float(obj["delta"]),
-        lam=float(obj["lambda"]),
-        reps=obj["reps"],
-        seed=obj["seed"],
-        variant=obj["variant"],
-    )
+        fields[_SCENARIO_KEYS[key]] = float(obj[key])
+    try:
+        return ScenarioSpec(**fields)
+    except ValueError as exc:
+        raise ValueError(f"scenario {index}: {exc}") from None
 
 
 def parse_scenarios(text: str) -> list[ScenarioSpec]:
@@ -172,10 +162,6 @@ def metrics_row(report: MetricsReport) -> dict:
     }
 
 
-def metrics_to_json(reports) -> str:
-    return json.dumps([metrics_row(r) for r in reports], indent=2) + "\n"
-
-
 def rows_to_csv(columns, rows) -> str:
     """CSV with a header row; floats are written with repr so they read back exactly."""
     buffer = io.StringIO()
@@ -188,10 +174,6 @@ def rows_to_csv(columns, rows) -> str:
 
 def metrics_to_csv(reports) -> str:
     return rows_to_csv(_METRIC_COLUMNS, (metrics_row(r) for r in reports))
-
-
-def metrics_rows_from_json(text: str) -> list[dict]:
-    return json.loads(text)
 
 
 def metrics_rows_from_csv(text: str) -> list[dict]:

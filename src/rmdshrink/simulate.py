@@ -11,16 +11,6 @@ import numpy as np
 from .detector import DEFAULT_QUANTILE, detect
 from .scatter import VARIANTS
 
-FAMILIES = (
-    "NormalMixture",
-    "T3Mixture",
-    "ExpMixture",
-    "CorrelatedNormal",
-    "AffineTransformed",
-    "BreakdownSymmetric",
-    "BreakdownAsymmetric",
-)
-
 # Fixed 6x6 correlation structure for CorrelatedNormal: two diagonal
 # blocks, one strongly dependent and one near the negative exchangeable
 # bound for three variables.
@@ -57,9 +47,10 @@ class ScenarioSpec:
     variant: str
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        # Type first: an unhashable value would raise TypeError in the lookup.
+        if not isinstance(self.family, str) or self.family not in _GENERATORS:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.p < 1 or self.n < 1:
             raise ValueError("p and n must be positive")
@@ -73,6 +64,8 @@ class ScenarioSpec:
             raise ValueError("lambda must be positive")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def n_outliers(self) -> int:
@@ -183,6 +176,8 @@ _GENERATORS = {
     "BreakdownSymmetric": gen_breakdown,
     "BreakdownAsymmetric": gen_breakdown,
 }
+
+FAMILIES = tuple(_GENERATORS)
 
 
 def generate(spec: ScenarioSpec, rng: np.random.Generator):

@@ -10,7 +10,6 @@ import pytest
 from rmdshrink.cli import main
 from rmdshrink.io import (
     metrics_rows_from_csv,
-    metrics_rows_from_json,
     parse_scenarios,
     scenario_id,
 )
@@ -42,6 +41,16 @@ def tiny_config(reps=2, seed=11, variant="v1"):
         "seed": seed,
         "variant": variant,
     }
+
+
+def simulate_with_literal(tmp_path, capsys, key, literal):
+    """Run simulate on tiny_config() with one value replaced by a raw JSON literal."""
+    body = tiny_config()
+    body[key] = "<value>"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body).replace('"<value>"', literal))
+    code = main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "m.csv")])
+    return code, capsys.readouterr().err
 
 
 def refused_between_good_configs():
@@ -99,6 +108,21 @@ class TestDetect:
         assert "header has 3 cells, expected 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header", [None, ["x1", "x2", "x3"]])
+    def test_byte_order_mark_is_ignored(self, tmp_path, header):
+        plain = tmp_path / "plain.csv"
+        marked = tmp_path / "marked.csv"
+        write_planted_csv(plain, header=header)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for data in (plain, marked):
+            out = tmp_path / f"{data.stem}.json"
+            argv = ["detect", "--input", str(data), "--output", str(out)]
+            assert main(argv + (["--has-header"] if header else [])) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[1] == reports[0]
+        assert reports[1]["columns"] == header
+
     def test_unknown_variant_is_a_usage_error(self, tmp_path):
         data = tmp_path / "data.csv"
         write_planted_csv(data)
@@ -143,20 +167,6 @@ class TestSimulate:
         assert row["variant"] == "v1" and row["reps"] == 2
         assert 0.0 <= row["c"] <= 1.0 and 0.0 <= row["f"] <= 1.0
         assert "c=" in capsys.readouterr().out
-
-    def test_json_and_csv_agree(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps([tiny_config(), tiny_config(variant="v4")]))
-        out_csv = tmp_path / "m.csv"
-        out_json = tmp_path / "m.json"
-        assert main(["simulate", "--config", str(cfg), "--output", str(out_csv)]) == 0
-        assert main(["simulate", "--config", str(cfg), "--format", "json",
-                     "--output", str(out_json)]) == 0
-        from_csv = metrics_rows_from_csv(out_csv.read_text())
-        from_json = metrics_rows_from_json(out_json.read_text())
-        for a, b in zip(from_csv, from_json):
-            for key in ("scenario", "variant", "c", "f", "fscore", "seed"):
-                assert a[key] == b[key]
 
     def test_seed_override_applies_to_all_scenarios(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -203,15 +213,23 @@ class TestSimulate:
     ])
     def test_config_number_of_the_wrong_type_is_rejected(self, tmp_path, capsys,
                                                          key, literal):
-        body = tiny_config()
-        body[key] = "<value>"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(body).replace('"<value>"', literal))
-        code = main(["simulate", "--config", str(cfg),
-                     "--output", str(tmp_path / "m.csv")])
+        code, err = simulate_with_literal(tmp_path, capsys, key, literal)
         assert code == 1
-        err = capsys.readouterr().err
         assert f"scenario 0: {key} must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,literal", [
+        ("variant", '["v1"]'),
+        ("variant", "6"),
+        ("family", "5"),
+        ("family", '"Cauchy"'),
+        ("alpha", "0.6"),
+        ("seed", "-1"),
+    ])
+    def test_refused_config_scenario_is_named(self, tmp_path, capsys, key, literal):
+        code, err = simulate_with_literal(tmp_path, capsys, key, literal)
+        assert code == 1
+        assert err.startswith("error: scenario 0: ")
         assert "Traceback" not in err
 
     def test_malformed_json_config(self, tmp_path, capsys):
@@ -260,9 +278,8 @@ class TestSimulate:
     def test_status_line_reports_smallest_replicate_c(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(tiny_config()))
-        out = tmp_path / "m.json"
-        assert main(["simulate", "--config", str(cfg), "--format", "json",
-                     "--output", str(out)]) == 0
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
         assert "min_c=" in capsys.readouterr().out
 
 

@@ -46,6 +46,9 @@ class TestScenarioSpec:
         dict(delta=-1.0),
         dict(variant="v7"),
         dict(family="CorrelatedNormal", p=5),
+        dict(seed=-1),
+        dict(variant=["v6"]),
+        dict(family=5),
     ])
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ValueError):
