@@ -25,8 +25,6 @@ from .primitives import (
     as_data_matrix,
     chi2_quantile,
     comedian,
-    mad,
-    median,
     quad_form,
     quad_form_rows,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "generate",
     "l1_depth",
     "l1_median",
-    "mad",
-    "median",
     "metrics",
     "quad_form",
     "quad_form_rows",

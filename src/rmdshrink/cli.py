@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, as load_csv does for data files.
+    with open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 

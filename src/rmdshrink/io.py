@@ -22,22 +22,11 @@ _SCENARIO_KEYS = {
     "lambda" if f.name == "lam" else f.name: f.name for f in dataclasses.fields(ScenarioSpec)
 }
 
-_METRIC_COLUMNS = (
-    "scenario",
-    "family",
-    "variant",
-    "p",
-    "n",
-    "alpha",
-    "delta",
-    "lambda",
-    "reps",
-    "seed",
-    "c",
-    "f",
-    "fscore",
-    "wall_seconds",
-)
+# Result column of the metrics CSV -> MetricsReport field.
+_RESULT_FIELDS = {"c": "c_mean", "f": "f_mean", "fscore": "fscore_mean", "wall_seconds": "wall_seconds"}
+
+# The scenario id, then the config keys in config order, then the results.
+_METRIC_COLUMNS = ("scenario", *_SCENARIO_KEYS, *_RESULT_FIELDS)
 
 
 def load_csv(path, has_header: bool = False) -> tuple[np.ndarray, list[str] | None]:
@@ -70,6 +59,9 @@ def load_csv(path, has_header: bool = False) -> tuple[np.ndarray, list[str] | No
             if not text:
                 raise ValueError(f"{path}: blank cell at row {line}, column {j + 1}")
             try:
+                # float() also reads "1_0" and non-ASCII digits; a data cell may not.
+                if "_" in text or not text.isascii():
+                    raise ValueError
                 value = float(text)
             except ValueError:
                 raise ValueError(
@@ -123,10 +115,19 @@ def _scenario_from_mapping(obj, index: int) -> ScenarioSpec:
         raise ValueError(f"scenario {index}: {exc}") from None
 
 
+def _refuse_repeated_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config repeats key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def parse_scenarios(text: str) -> list[ScenarioSpec]:
     """Parse a strict JSON scenario config: one object or an array of them."""
     try:
-        parsed = json.loads(text)
+        parsed = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from None
     items = parsed if isinstance(parsed, list) else [parsed]
@@ -144,22 +145,10 @@ def scenario_id(spec: ScenarioSpec) -> str:
 
 def metrics_row(report: MetricsReport) -> dict:
     spec = report.spec
-    return {
-        "scenario": scenario_id(spec),
-        "family": spec.family,
-        "variant": spec.variant,
-        "p": spec.p,
-        "n": spec.n,
-        "alpha": spec.alpha,
-        "delta": spec.delta,
-        "lambda": spec.lam,
-        "reps": spec.reps,
-        "seed": spec.seed,
-        "c": report.c_mean,
-        "f": report.f_mean,
-        "fscore": report.fscore_mean,
-        "wall_seconds": report.wall_seconds,
-    }
+    values = [scenario_id(spec)]
+    values += [getattr(spec, name) for name in _SCENARIO_KEYS.values()]
+    values += [getattr(report, name) for name in _RESULT_FIELDS.values()]
+    return dict(zip(_METRIC_COLUMNS, values, strict=True))
 
 
 def rows_to_csv(columns, rows) -> str:
@@ -174,19 +163,6 @@ def rows_to_csv(columns, rows) -> str:
 
 def metrics_to_csv(reports) -> str:
     return rows_to_csv(_METRIC_COLUMNS, (metrics_row(r) for r in reports))
-
-
-def metrics_rows_from_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for raw in reader:
-        row: dict = dict(raw)
-        for key in ("p", "n", "reps", "seed"):
-            row[key] = int(row[key])
-        for key in ("alpha", "delta", "lambda", "c", "f", "fscore", "wall_seconds"):
-            row[key] = float(row[key])
-        rows.append(row)
-    return rows
 
 
 def detection_to_json(report: DetectionReport, column_names=None) -> str:

@@ -26,27 +26,6 @@ def as_data_matrix(data) -> np.ndarray:
     return arr
 
 
-def median(values) -> float:
-    """Univariate median; even lengths average the two middle order statistics."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    if not np.isfinite(arr).all():
-        raise ValueError("sample contains NaN or infinite entries")
-    return float(np.median(arr))
-
-
-def mad(values) -> float:
-    """Median absolute deviation from the median, unscaled."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    if not np.isfinite(arr).all():
-        raise ValueError("sample contains NaN or infinite entries")
-    m = np.median(arr)
-    return float(np.median(np.abs(arr - m)))
-
-
 def comedian(data, center) -> np.ndarray:
     """Entrywise median of cross products of centered columns.
 

@@ -1,0 +1,70 @@
+"""The names perfbench/ reads from the library, exercised through perfbench itself.
+
+The benchmark's tracer and workloads are imported unchanged from the
+checkout, so deleting or reshaping something they use (a traced function,
+``scatter._LOCATION_FNS``, ``l1_median(mode=)``, ``VARIANTS``, positional
+``ScenarioSpec``) fails here and not only in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rmdshrink as rm
+from rmdshrink import scatter
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_perfbench_module("tracing")
+workloads = load_perfbench_module("workloads")
+
+
+def planted_sample(seed=5, n=80, p=4, k=6):
+    X = np.random.default_rng(seed).standard_normal((n, p))
+    X[:k] += 12.0
+    return X
+
+
+def test_tracer_wraps_the_targets_and_restores_them():
+    location_fns = dict(scatter._LOCATION_FNS)
+    detect = rm.detect
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert rm.detect is not detect
+        rm.detect(planted_sample(), "v6", workloads.QUANTILE)
+    finally:
+        tracer.uninstall()
+    assert rm.detect is detect
+    assert scatter._LOCATION_FNS.keys() == location_fns.keys()
+    assert all(scatter._LOCATION_FNS[k] is fn for k, fn in location_fns.items())
+    assert tracer.calls["detector.detect"] == 1
+    assert tracer.calls["location.l1_median"] >= 1
+    assert tracer.calls["primitives.comedian"] >= 1
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_builds(name, tmp_path):
+    workload = workloads.WORKLOADS[name](seed=1, workdir=str(tmp_path))
+    workload.build()
+    assert workload.ops
+
+
+@pytest.mark.parametrize("variant", workloads.VARIANT_IDS)
+def test_detection_passes_the_benchmark_check(variant):
+    X = planted_sample()
+    det = rm.detect(X, variant, workloads.QUANTILE)
+    workloads.check_detection(X, variant, det.threshold, det.d2, det.flags,
+                              det.eta_location, det.eta_scatter, variant)

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import csv
 import json
 import os
 from pathlib import Path
@@ -8,11 +9,7 @@ import numpy as np
 import pytest
 
 from rmdshrink.cli import main
-from rmdshrink.io import (
-    metrics_rows_from_csv,
-    parse_scenarios,
-    scenario_id,
-)
+from rmdshrink.io import parse_scenarios, scenario_id
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -41,6 +38,12 @@ def tiny_config(reps=2, seed=11, variant="v1"):
         "seed": seed,
         "variant": variant,
     }
+
+
+def read_rows(path):
+    """The rows of a CSV with a header, as dicts of strings."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def simulate_with_literal(tmp_path, capsys, key, literal):
@@ -146,6 +149,15 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "row 2" in err and "column 2" in err and "oops" in err
 
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11\uff12", "\u0663"])
+    def test_cell_that_is_not_a_plain_ascii_number_is_refused(self, tmp_path, capsys, cell):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"1.0,2.0\n3.0,{cell}\n5.0,6.0\n", encoding="utf-8")
+        out = tmp_path / "x.json"
+        assert main(["detect", "--input", str(data), "--output", str(out)]) == 1
+        assert f"non-numeric cell {cell!r} at row 2, column 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_run_leaves_no_output(self, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("1.0,2.0\n3.0,oops\n")
@@ -161,11 +173,11 @@ class TestSimulate:
         out = tmp_path / "metrics.csv"
         code = main(["simulate", "--config", str(cfg), "--output", str(out)])
         assert code == 0
-        rows = metrics_rows_from_csv(out.read_text())
+        rows = read_rows(out)
         assert len(rows) == 1
         row = rows[0]
-        assert row["variant"] == "v1" and row["reps"] == 2
-        assert 0.0 <= row["c"] <= 1.0 and 0.0 <= row["f"] <= 1.0
+        assert row["variant"] == "v1" and row["reps"] == "2"
+        assert 0.0 <= float(row["c"]) <= 1.0 and 0.0 <= float(row["f"]) <= 1.0
         assert "c=" in capsys.readouterr().out
 
     def test_seed_override_applies_to_all_scenarios(self, tmp_path):
@@ -175,8 +187,8 @@ class TestSimulate:
         code = main(["--seed", "12345", "simulate", "--config", str(cfg),
                      "--output", str(out)])
         assert code == 0
-        rows = metrics_rows_from_csv(out.read_text())
-        assert [r["seed"] for r in rows] == [12345, 12345]
+        rows = read_rows(out)
+        assert [r["seed"] for r in rows] == ["12345", "12345"]
         assert rows[0]["c"] == rows[1]["c"]
 
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -232,6 +244,46 @@ class TestSimulate:
         assert err.startswith("error: scenario 0: ")
         assert "Traceback" not in err
 
+    def test_metrics_columns_are_the_config_keys(self, tmp_path):
+        configs = [tiny_config(), tiny_config(seed=12, variant="v4")]
+        configs[1].update(alpha=0.15, delta=7.5)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(configs))
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert header == ["scenario", *configs[0], "c", "f", "fscore", "wall_seconds"]
+        rows = read_rows(out)
+        assert len(rows) == len(configs)
+        for row, config in zip(rows, configs):
+            # The spec columns, typed as the config types them, are the spec that ran.
+            typed = {key: type(value)(row[key]) for key, value in config.items()}
+            assert parse_scenarios(json.dumps(typed)) == parse_scenarios(json.dumps(config))
+
+    def test_byte_order_mark_config_gives_the_same_rows(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        marked = tmp_path / "marked.json"
+        plain.write_text(json.dumps([tiny_config(), tiny_config(seed=12, variant="v4")]))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        tables = []
+        for cfg in (plain, marked):
+            out = tmp_path / f"{cfg.stem}.csv"
+            assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+            rows = read_rows(out)
+            tables.append([{k: v for k, v in r.items() if k != "wall_seconds"} for r in rows])
+        assert len(tables[0]) == 2
+        assert tables[1] == tables[0]
+
+    def test_repeated_config_key_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"p": 3, ' + json.dumps(tiny_config())[1:])
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "repeats key 'p'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -272,8 +324,8 @@ class TestSimulate:
         assert code == 1
         refused_id = scenario_id(parse_scenarios(json.dumps(configs[1]))[0])
         assert f"ABORTED {refused_id}: " in capsys.readouterr().err
-        rows = metrics_rows_from_csv(out.read_text())
-        assert [(r["variant"], r["seed"]) for r in rows] == [("v1", 11), ("v4", 12)]
+        rows = read_rows(out)
+        assert [(r["variant"], r["seed"]) for r in rows] == [("v1", "11"), ("v4", "12")]
 
     def test_status_line_reports_smallest_replicate_c(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
