@@ -15,6 +15,9 @@ COMEDIAN_ADJUST = 2.198
 # Relative pivot floor below which a factorization counts as singular.
 _PIVOT_RTOL = 1e-12
 
+# Floats per product block in `comedian`: larger blocks fall out of cache.
+_BLOCK_FLOATS = 2**18
+
 
 def as_data_matrix(data) -> np.ndarray:
     """Validate and return an n x p float matrix (rows are observations)."""
@@ -39,8 +42,19 @@ def comedian(data, center) -> np.ndarray:
         raise ValueError("center length does not match number of columns")
     if not np.isfinite(c).all():
         raise ValueError("center contains NaN or infinite entries")
-    Y = X - c
-    return np.median(Y[:, :, None] * Y[:, None, :], axis=0)
+    # Rows [a, b) of the upper triangle come from one product block of about
+    # _BLOCK_FLOATS entries, then are mirrored, so memory stays O(n*p + p*p)
+    # and each entry is the median of the same sequence as the full product.
+    Yt = np.ascontiguousarray((X - c).T)
+    p, n = Yt.shape
+    S = np.empty((p, p))
+    a = 0
+    while a < p:
+        b = min(p, a + max(1, _BLOCK_FLOATS // (n * (p - a))))
+        S[a:b, a:] = np.median(Yt[a:b, None, :] * Yt[None, a:, :], axis=-1)
+        S[a:, a:b] = S[a:b, a:].T
+        a = b
+    return S
 
 
 def adjusted_comedian(data, center) -> np.ndarray:

@@ -3,6 +3,7 @@ independent in-test oracles (closed forms, bisection, explicit inverses).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,43 @@ class TestComedian:
         C = adjusted_comedian(X, np.median(X, axis=0))
         assert abs(C[0, 0] - 1.0) < 0.05
         assert abs(C[1, 1] - 1.0) < 0.05
+
+    # (n, p): one block (n*p*p <= 2**18), several blocks, one row per block
+    # at the start (n*p > 2**18), p = 1, n = 1, odd and even n.
+    @pytest.mark.parametrize("n, p", [
+        (100, 5), (101, 6), (100, 10), (500, 30), (2000, 100), (7000, 40),
+        (9, 1), (1, 7), (1, 1), (2, 3),
+    ])
+    def test_matches_broadcast_median_bit_for_bit(self, n, p):
+        rng = np.random.default_rng(n * 1000 + p)
+        X = rng.standard_normal((n, p))
+        # ties and a constant column put signed zeros among the products
+        X[: n // 2, p // 2] = np.round(X[: n // 2, p // 2])
+        if p > 2:
+            X[:, -1] = 1.5
+        center = np.median(X, axis=0)
+        Y = X - center
+        # the median over rows of the full n x p x p product, a few columns
+        # at a time so the reference itself stays small
+        want = np.empty((p, p))
+        for t in range(0, p, 10):
+            want[:, t:t + 10] = np.median(Y[:, :, None] * Y[:, None, t:t + 10], axis=0)
+        got = comedian(X, center)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_traced_peak_is_bounded_in_n_times_p(self):
+        # the n x p x p product alone is 152.6 MiB at p100/n2000
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((2000, 100))
+        center = np.median(X, axis=0)
+        tracemalloc.start()
+        try:
+            comedian(X, center)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 def bisect_chi2(dof, prob):
