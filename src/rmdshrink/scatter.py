@@ -73,9 +73,10 @@ def shrink_scatter(data, center) -> ScatterEstimate:
     d2 = float((deviation * deviation).sum()) / p
     Y = X - c
     q = np.einsum("ij,ij->i", Y, Y)
-    cross = np.einsum("ij,jk,ik->i", Y, S, Y)
+    # sum_i y_i' S y_i = sum(S o Y'Y), one BLAS product instead of n quadratic forms
+    cross = float((S * (Y.T @ Y)).sum())
     frob2_S = float((S * S).sum())
-    b2 = float((q * q - 2.0 * cross).sum() + n * frob2_S) / (n * n * p)
+    b2 = (float((q * q).sum()) - 2.0 * cross + n * frob2_S) / (n * n * p)
     if d2 <= _DISPERSION_FLOOR:
         eta = 1.0
     else:
