@@ -20,7 +20,7 @@ from .io import (
     scenario_id,
 )
 from .scatter import VARIANTS
-from .simulate import bench_variant, run_scenario
+from .simulate import BENCH_COLUMNS, bench_variant, run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,22 +137,20 @@ def _cmd_boxplot(args) -> int:
     return 0
 
 
+def _table_line(cells) -> str:
+    return " ".join(f"{c:>18.6f}" if isinstance(c, float) else f"{c!s:>18}" for c in cells)
+
+
 def _print_timing(spec, row) -> None:
-    print(
-        f"{row['variant']:<8} {row['family']:<20} {row['p']:>4} {row['n']:>6} "
-        f"{row['median_seconds']:>15.4f}"
-    )
-
-
-_BENCH_COLUMNS = ("variant", "family", "p", "n", "measurements", "median_seconds")
+    print(_table_line(row[name] for name in BENCH_COLUMNS))
 
 
 def _cmd_bench(args) -> int:
     scenarios = _scenarios_from_args(args)
-    print(f"{'variant':<8} {'family':<20} {'p':>4} {'n':>6} {'median seconds':>15}")
+    print(_table_line(name.replace("_", " ") for name in BENCH_COLUMNS))
     rows, aborted = _run_each(scenarios, bench_variant, _print_timing)
     if args.output:
-        atomic_write_text(args.output, rows_to_csv(_BENCH_COLUMNS, rows))
+        atomic_write_text(args.output, rows_to_csv(BENCH_COLUMNS, rows))
     return 1 if aborted else 0
 
 

@@ -248,13 +248,11 @@ def run_scenario(spec: ScenarioSpec) -> MetricsReport:
     )
 
 
+# The keys of a bench_variant row, in the order `rmdshrink bench` writes them.
+BENCH_COLUMNS = ("variant", "family", "p", "n", "measurements", "median_seconds")
+
+
 def bench_variant(spec: ScenarioSpec) -> dict:
     """Median wall time of one detection over the scenario's replicates."""
-    return {
-        "variant": spec.variant,
-        "family": spec.family,
-        "p": spec.p,
-        "n": spec.n,
-        "measurements": spec.reps,
-        "median_seconds": float(np.median(run_scenario(spec).detect_seconds)),
-    }
+    seconds = float(np.median(run_scenario(spec).detect_seconds))
+    return dict(zip(BENCH_COLUMNS, (spec.variant, spec.family, spec.p, spec.n, spec.reps, seconds)))

@@ -10,6 +10,7 @@ import pytest
 
 from rmdshrink.cli import main
 from rmdshrink.io import parse_scenarios, scenario_id
+from rmdshrink.simulate import bench_variant
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -386,6 +387,16 @@ class TestBench:
         assert lines[0] == "variant,family,p,n,measurements,median_seconds"
         cells = lines[1].split(",")
         assert cells[0] == "v1" and float(cells[5]) > 0
+
+    def test_csv_header_is_the_keys_bench_variant_returns(self, tmp_path):
+        config = tiny_config()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--config", str(cfg), "--output", str(out)]) == 0
+        header = out.read_text().splitlines()[0].split(",")
+        spec = parse_scenarios(json.dumps(config))[0]
+        assert header == list(bench_variant(spec))
 
     @pytest.mark.filterwarnings("ignore:fewer observations than dimensions")
     def test_refused_scenario_is_skipped_and_exits_1(self, tmp_path, capsys):
