@@ -142,7 +142,7 @@ def _table_line(cells) -> str:
 
 
 def _print_timing(spec, row) -> None:
-    print(_table_line(row[name] for name in BENCH_COLUMNS))
+    print(_table_line(row.values()))
 
 
 def _cmd_bench(args) -> int:
