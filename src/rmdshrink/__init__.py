@@ -33,7 +33,6 @@ from .simulate import (
     FAMILIES,
     MetricsReport,
     ScenarioSpec,
-    bench_variant,
     correlation_matrix,
     generate,
     metrics,
@@ -56,7 +55,6 @@ __all__ = [
     "VARIANTS",
     "adjusted_comedian",
     "as_data_matrix",
-    "bench_variant",
     "boxplot_summary",
     "ccm_median",
     "chi2_quantile",

@@ -9,30 +9,26 @@ import sys
 from .depth import boxplot_summary
 from .detector import DEFAULT_QUANTILE, detect
 from .io import (
+    RESULT_COLUMNS,
     atomic_write_text,
     boxplot_to_json,
     detection_to_csv,
     detection_to_json,
     load_csv,
-    metrics_to_csv,
     parse_scenarios,
     rows_to_csv,
+    scenario_columns,
     scenario_id,
+    scenario_row,
 )
 from .scatter import VARIANTS
-from .simulate import BENCH_COLUMNS, bench_variant, run_scenario
+from .simulate import run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmdshrink",
         description="Robust Mahalanobis outlier detection with shrinkage estimators.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the seed of every scenario read from a config file",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -47,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_sim = sub.add_parser("simulate", help="run scenario configs and write a metrics CSV")
-    p_sim.add_argument("--config", required=True, help="JSON scenario file")
+    _add_scenario_args(p_sim)
     p_sim.add_argument("--output", required=True)
 
     p_box = sub.add_parser(
@@ -60,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_box.add_argument("--has-header", action="store_true")
 
     p_bench = sub.add_parser("bench", help="time detection per scenario and variant")
-    p_bench.add_argument("--config", required=True)
+    _add_scenario_args(p_bench)
     p_bench.add_argument("--output", default=None, help="optional CSV destination")
     return parser
 
@@ -84,52 +80,43 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _scenarios_from_args(args) -> list:
-    scenarios = parse_scenarios(_read_text(args.config))
-    if args.seed is not None:
-        scenarios = [dataclasses.replace(s, seed=args.seed) for s in scenarios]
-    return scenarios
-
-
-def _run_each(scenarios, run, report) -> tuple[list, int]:
-    """Run every scenario; count and skip the refused ones.
-
-    A scenario whose run raises ValueError is named on stderr as ABORTED and
-    the loop moves on, so the caller writes the rows that ran and exits 1.
-    """
-    results = []
-    aborted = 0
-    for spec in scenarios:
-        try:
-            result = run(spec)
-        except ValueError as exc:
-            aborted += 1
-            print(f"ABORTED {scenario_id(spec)}: {exc}", file=sys.stderr)
-            continue
-        results.append(result)
-        report(spec, result)
-    return results, aborted
-
-
-def _print_metrics(spec, report) -> None:
-    print(
-        f"{scenario_id(spec)}: c={report.c_mean:.4f} min_c={min(report.c_reps):.4f} "
-        f"f={report.f_mean:.4f} F={report.fscore_mean:.4f} "
-        f"({report.wall_seconds:.2f}s)"
+def _add_scenario_args(parser) -> None:
+    parser.add_argument("--config", required=True, help="JSON scenario file")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override the seed of every scenario in the config"
     )
 
 
-def _cmd_simulate(args) -> int:
-    reports, aborted = _run_each(_scenarios_from_args(args), run_scenario, _print_metrics)
-    atomic_write_text(args.output, metrics_to_csv(reports))
-    return 1 if aborted else 0
+def _cmd_scenarios(args) -> int:
+    """simulate and bench: one row and one status line per scenario that ran.
+
+    A scenario whose run raises ValueError is named on stderr as ABORTED and
+    skipped, so the output holds the rows that ran and the command exits 1.
+    """
+    scenarios = parse_scenarios(_read_text(args.config))
+    if args.seed is not None:
+        scenarios = [dataclasses.replace(s, seed=args.seed) for s in scenarios]
+    results = RESULT_COLUMNS[args.command]
+    rows = []
+    for spec in scenarios:
+        try:
+            report = run_scenario(spec)
+        except ValueError as exc:
+            print(f"ABORTED {scenario_id(spec)}: {exc}", file=sys.stderr)
+            continue
+        row = scenario_row(args.command, report)
+        rows.append(row)
+        print(f"{row['scenario']}: " + " ".join(f"{name}={row[name]:.6g}" for name in results))
+    if args.output:
+        atomic_write_text(args.output, rows_to_csv(scenario_columns(args.command), rows))
+    return 1 if len(rows) < len(scenarios) else 0
 
 
 def _cmd_boxplot(args) -> int:
     data, _ = load_csv(args.input, args.has_header)
     report = detect(data, args.variant, args.quantile)
     summary = boxplot_summary(data, report.flags)
-    atomic_write_text(args.output, boxplot_to_json(summary, data, report.flags, report))
+    atomic_write_text(args.output, boxplot_to_json(summary, data, report))
     print(
         f"{args.input}: {summary.n_flagged} flagged, "
         f"{summary.n_outside} outside the fences"
@@ -137,28 +124,11 @@ def _cmd_boxplot(args) -> int:
     return 0
 
 
-def _table_line(cells) -> str:
-    return " ".join(f"{c:>18.6f}" if isinstance(c, float) else f"{c!s:>18}" for c in cells)
-
-
-def _print_timing(spec, row) -> None:
-    print(_table_line(row.values()))
-
-
-def _cmd_bench(args) -> int:
-    scenarios = _scenarios_from_args(args)
-    print(_table_line(name.replace("_", " ") for name in BENCH_COLUMNS))
-    rows, aborted = _run_each(scenarios, bench_variant, _print_timing)
-    if args.output:
-        atomic_write_text(args.output, rows_to_csv(BENCH_COLUMNS, rows))
-    return 1 if aborted else 0
-
-
 _COMMANDS = {
     "detect": _cmd_detect,
-    "simulate": _cmd_simulate,
+    "simulate": _cmd_scenarios,
     "boxplot": _cmd_boxplot,
-    "bench": _cmd_bench,
+    "bench": _cmd_scenarios,
 }
 
 

@@ -7,10 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .location import l1_median
+from .location import _NORM_FLOOR, l1_median
 from .primitives import as_data_matrix
-
-_NORM_FLOOR = 1e-12
 
 
 def l1_depth(data, point) -> float:

@@ -22,11 +22,16 @@ _SCENARIO_KEYS = {
     "lambda" if f.name == "lam" else f.name: f.name for f in dataclasses.fields(ScenarioSpec)
 }
 
-# Result column of the metrics CSV -> MetricsReport field.
-_RESULT_FIELDS = {"c": "c_mean", "f": "f_mean", "fscore": "fscore_mean", "wall_seconds": "wall_seconds"}
-
-# The scenario id, then the config keys in config order, then the results.
-_METRIC_COLUMNS = ("scenario", *_SCENARIO_KEYS, *_RESULT_FIELDS)
+# The result columns of each harness command's row, read off a MetricsReport.
+RESULT_COLUMNS = {
+    "simulate": {
+        "c": lambda report: report.c_mean,
+        "min_c": lambda report: min(report.c_reps),
+        "f": lambda report: report.f_mean,
+        "fscore": lambda report: report.fscore_mean,
+    },
+    "bench": {"median_seconds": lambda report: float(np.median(report.detect_seconds))},
+}
 
 
 def load_csv(path, has_header: bool = False) -> tuple[np.ndarray, list[str] | None]:
@@ -143,12 +148,18 @@ def scenario_id(spec: ScenarioSpec) -> str:
     )
 
 
-def metrics_row(report: MetricsReport) -> dict:
+def scenario_columns(command: str) -> tuple[str, ...]:
+    """The scenario id, then the config keys in config order, then the command's results."""
+    return ("scenario", *_SCENARIO_KEYS, *RESULT_COLUMNS[command])
+
+
+def scenario_row(command: str, report: MetricsReport) -> dict:
+    """One row of `command`'s CSV: the scenario that ran and what it measured."""
     spec = report.spec
     values = [scenario_id(spec)]
     values += [getattr(spec, name) for name in _SCENARIO_KEYS.values()]
-    values += [getattr(report, name) for name in _RESULT_FIELDS.values()]
-    return dict(zip(_METRIC_COLUMNS, values, strict=True))
+    values += [read(report) for read in RESULT_COLUMNS[command].values()]
+    return dict(zip(scenario_columns(command), values, strict=True))
 
 
 def rows_to_csv(columns, rows) -> str:
@@ -159,10 +170,6 @@ def rows_to_csv(columns, rows) -> str:
     for row in rows:
         writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
     return buffer.getvalue()
-
-
-def metrics_to_csv(reports) -> str:
-    return rows_to_csv(_METRIC_COLUMNS, (metrics_row(r) for r in reports))
 
 
 def detection_to_json(report: DetectionReport, column_names=None) -> str:
@@ -189,7 +196,7 @@ def detection_to_csv(report: DetectionReport) -> str:
     return rows_to_csv(("index", "d2", "flag"), rows)
 
 
-def boxplot_to_json(summary: BoxplotSummary, data, flags, report: DetectionReport) -> str:
+def boxplot_to_json(summary: BoxplotSummary, data, report: DetectionReport) -> str:
     X = np.asarray(data, dtype=float)
     payload = {
         "variant": report.variant,
@@ -206,6 +213,6 @@ def boxplot_to_json(summary: BoxplotSummary, data, flags, report: DetectionRepor
             "flagged_total": summary.n_flagged,
         },
         "rows": [[float(v) for v in row] for row in X],
-        "flags": [bool(v) for v in np.asarray(flags, dtype=bool)],
+        "flags": [bool(v) for v in report.flags],
     }
     return json.dumps(payload, indent=2) + "\n"

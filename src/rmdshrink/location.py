@@ -10,8 +10,13 @@ import numpy as np
 from .primitives import COMEDIAN_ADJUST, as_data_matrix
 
 # Norm floor below which a centered observation carries no direction
-# information and is skipped by the sandwich averages.
+# information: Weiszfeld, the sandwich averages and the L1 depth skip it.
 _NORM_FLOOR = 1e-12
+
+# Weiszfeld stops once a step moves the iterate by at most this much,
+# relative to 1 + its norm, or after _WEISZFELD_MAX_ITER steps.
+_WEISZFELD_TOL = 1e-10
+_WEISZFELD_MAX_ITER = 500
 
 # Denominator floor: the raw estimator already sits on its shrinkage
 # target, so the intensity is immaterial and pinned at 1.
@@ -34,11 +39,11 @@ def ccm_median(data) -> LocationEstimate:
     return LocationEstimate(center=np.median(X, axis=0), method="ccm")
 
 
-def _weiszfeld(X: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
+def _weiszfeld(X: np.ndarray) -> np.ndarray:
     # Euclidean geometric median with the standard handling of iterates
     # that land on data points.
     y = X.mean(axis=0)
-    for _ in range(max_iter):
+    for _ in range(_WEISZFELD_MAX_ITER):
         diff = X - y
         d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         at_point = d < _NORM_FLOOR
@@ -54,7 +59,7 @@ def _weiszfeld(X: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> np.nda
                 return y
             step = min(1.0, multiplicity / pull)
             t = (1.0 - step) * t + step * y
-        if np.linalg.norm(t - y) <= tol * (1.0 + np.linalg.norm(y)):
+        if np.linalg.norm(t - y) <= _WEISZFELD_TOL * (1.0 + np.linalg.norm(y)):
             return t
         y = t
     return y

@@ -83,7 +83,6 @@ class MetricsReport:
     c_reps: tuple[float, ...]
     f_reps: tuple[float, ...]
     fscore_reps: tuple[float, ...]
-    wall_seconds: float
     detect_seconds: tuple[float, ...]
 
 
@@ -211,7 +210,6 @@ def metrics(flags, truth) -> tuple[float, float, float]:
 
 def run_scenario(spec: ScenarioSpec) -> MetricsReport:
     """Average metrics over seeded replicates (replicate r uses seed + r)."""
-    t0 = time.perf_counter()
     cs: list[float] = []
     fs: list[float] = []
     fscores: list[float] = []
@@ -234,7 +232,6 @@ def run_scenario(spec: ScenarioSpec) -> MetricsReport:
         cs.append(c)
         fs.append(f)
         fscores.append(fscore)
-    wall = time.perf_counter() - t0
     return MetricsReport(
         spec=spec,
         c_mean=float(np.mean(cs)),
@@ -243,16 +240,6 @@ def run_scenario(spec: ScenarioSpec) -> MetricsReport:
         c_reps=tuple(cs),
         f_reps=tuple(fs),
         fscore_reps=tuple(fscores),
-        wall_seconds=wall,
         detect_seconds=tuple(seconds),
     )
 
-
-# The keys of a bench_variant row, in the order `rmdshrink bench` writes them.
-BENCH_COLUMNS = ("variant", "family", "p", "n", "measurements", "median_seconds")
-
-
-def bench_variant(spec: ScenarioSpec) -> dict:
-    """Median wall time of one detection over the scenario's replicates."""
-    seconds = float(np.median(run_scenario(spec).detect_seconds))
-    return dict(zip(BENCH_COLUMNS, (spec.variant, spec.family, spec.p, spec.n, spec.reps, seconds)))

@@ -3,16 +3,18 @@
 import csv
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rmdshrink.cli import main
+from rmdshrink.cli import build_parser, main
 from rmdshrink.io import parse_scenarios, scenario_id
-from rmdshrink.simulate import bench_variant
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_planted_csv(path, seed=42, n=60, p=3, k=3, header=None):
@@ -135,6 +137,16 @@ class TestDetect:
                   "--output", str(tmp_path / "x.json")])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["detect", "boxplot"])
+    def test_seed_is_a_usage_error(self, tmp_path, command):
+        # --seed belongs to simulate and bench; detect and boxplot have no seed to set.
+        data = tmp_path / "data.csv"
+        write_planted_csv(data)
+        with pytest.raises(SystemExit) as err:
+            main(["--seed", "1", command, "--input", str(data),
+                  "--output", str(tmp_path / "x.json")])
+        assert err.value.code == 2
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["detect", "--input", str(tmp_path / "absent.csv"),
                      "--output", str(tmp_path / "x.json")])
@@ -185,7 +197,7 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([tiny_config(seed=11), tiny_config(seed=99)]))
         out = tmp_path / "m.csv"
-        code = main(["--seed", "12345", "simulate", "--config", str(cfg),
+        code = main(["simulate", "--seed", "12345", "--config", str(cfg),
                      "--output", str(out)])
         assert code == 0
         rows = read_rows(out)
@@ -246,20 +258,23 @@ class TestSimulate:
         assert "Traceback" not in err
 
     def test_metrics_columns_are_the_config_keys(self, tmp_path):
-        configs = [tiny_config(), tiny_config(seed=12, variant="v4")]
-        configs[1].update(alpha=0.15, delta=7.5)
+        # Two scenarios that differ only in alpha, delta, lambda and seed.
+        configs = [tiny_config(), tiny_config(seed=12)]
+        configs[1].update(alpha=0.15, delta=7.5, **{"lambda": 2.0})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(configs))
-        out = tmp_path / "m.csv"
-        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
-        header = out.read_text().splitlines()[0].split(",")
-        assert header == ["scenario", *configs[0], "c", "f", "fscore", "wall_seconds"]
-        rows = read_rows(out)
-        assert len(rows) == len(configs)
-        for row, config in zip(rows, configs):
-            # The spec columns, typed as the config types them, are the spec that ran.
-            typed = {key: type(value)(row[key]) for key, value in config.items()}
-            assert parse_scenarios(json.dumps(typed)) == parse_scenarios(json.dumps(config))
+        for command, results in [("simulate", ["c", "min_c", "f", "fscore"]),
+                                 ("bench", ["median_seconds"])]:
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(cfg), "--output", str(out)]) == 0
+            header = out.read_text().splitlines()[0].split(",")
+            assert header == ["scenario", *configs[0], *results], command
+            rows = read_rows(out)
+            assert len(rows) == len(configs)
+            for row, config in zip(rows, configs):
+                # The spec columns, typed as the config types them, are the spec that ran.
+                typed = {key: type(value)(row[key]) for key, value in config.items()}
+                assert parse_scenarios(json.dumps(typed)) == parse_scenarios(json.dumps(config))
 
     def test_byte_order_mark_config_gives_the_same_rows(self, tmp_path):
         plain = tmp_path / "plain.json"
@@ -270,8 +285,7 @@ class TestSimulate:
         for cfg in (plain, marked):
             out = tmp_path / f"{cfg.stem}.csv"
             assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
-            rows = read_rows(out)
-            tables.append([{k: v for k, v in r.items() if k != "wall_seconds"} for r in rows])
+            tables.append(read_rows(out))
         assert len(tables[0]) == 2
         assert tables[1] == tables[0]
 
@@ -300,11 +314,7 @@ class TestSimulate:
         second = tmp_path / "b.csv"
         assert main(["simulate", "--config", str(cfg), "--output", str(first)]) == 0
         assert main(["simulate", "--config", str(cfg), "--output", str(second)]) == 0
-        a = first.read_text().splitlines()
-        b = second.read_text().splitlines()
-        # every column except the timing one must match exactly
-        strip = lambda line: ",".join(line.split(",")[:-1])
-        assert [strip(l) for l in a] == [strip(l) for l in b]
+        assert first.read_bytes() == second.read_bytes()
 
     def test_no_partial_files_left_behind(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -376,27 +386,20 @@ class TestBoxplot:
 
 class TestBench:
     def test_smoke_and_csv_output(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(tiny_config()))
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--config", str(cfg), "--output", str(out)])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "median seconds" in stdout and "v1" in stdout
-        lines = out.read_text().splitlines()
-        assert lines[0] == "variant,family,p,n,measurements,median_seconds"
-        cells = lines[1].split(",")
-        assert cells[0] == "v1" and float(cells[5]) > 0
-
-    def test_csv_header_is_the_keys_bench_variant_returns(self, tmp_path):
         config = tiny_config()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "bench.csv"
-        assert main(["bench", "--config", str(cfg), "--output", str(out)]) == 0
-        header = out.read_text().splitlines()[0].split(",")
-        spec = parse_scenarios(json.dumps(config))[0]
-        assert header == list(bench_variant(spec))
+        code = main(["bench", "--config", str(cfg), "--output", str(out)])
+        assert code == 0
+        [row] = read_rows(out)
+        assert row["variant"] == "v1" and row["reps"] == "2"
+        assert float(row["median_seconds"]) > 0
+        # The status line names the scenario and prints the row's result column.
+        [status] = capsys.readouterr().out.splitlines()
+        spec_id = scenario_id(parse_scenarios(json.dumps(config))[0])
+        assert status.startswith(f"{spec_id}: median_seconds=")
+        assert row["scenario"] == spec_id
 
     @pytest.mark.filterwarnings("ignore:fewer observations than dimensions")
     def test_refused_scenario_is_skipped_and_exits_1(self, tmp_path, capsys):
@@ -411,8 +414,17 @@ class TestBench:
                    if line.startswith(f"ABORTED {refused_id}: ")]
         assert len(aborted) == 1
         assert "replicate 0 (seed 11)" in aborted[0]
-        lines = out.read_text().splitlines()
-        assert [line.split(",")[:4] for line in lines[1:]] == [
-            ["v1", "NormalMixture", "2", "40"],
-            ["v4", "NormalMixture", "2", "40"],
-        ]
+        rows = read_rows(out)
+        assert [(r["variant"], r["seed"]) for r in rows] == [("v1", "11"), ("v4", "12")]
+
+
+class TestReadme:
+    def test_every_command_line_parses(self):
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", (ROOT / "README.md").read_text(),
+                            re.MULTILINE | re.DOTALL)
+        commands = [shlex.split(line, comments=True)
+                    for block in blocks for line in block.splitlines()
+                    if line.startswith("rmdshrink ")]
+        assert ["simulate", "--seed"] in [argv[1:3] for argv in commands]
+        for argv in commands:
+            build_parser().parse_args(argv[1:])

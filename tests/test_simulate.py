@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmdshrink.io import scenario_row
 from rmdshrink.simulate import (
     FAMILIES,
     MetricsReport,
     ScenarioSpec,
-    bench_variant,
     correlation_matrix,
     gen_breakdown,
     generate,
@@ -236,7 +236,7 @@ class TestRunScenario:
         rep = run_scenario(spec)
         assert np.isclose(rep.c_mean, np.mean(rep.c_reps))
         assert np.isclose(rep.f_mean, np.mean(rep.f_reps))
-        assert rep.wall_seconds > 0.0
+        assert np.isclose(rep.fscore_mean, np.mean(rep.fscore_reps))
         assert isinstance(rep, MetricsReport)
 
     def test_far_contamination_detected(self):
@@ -259,10 +259,10 @@ class TestRunScenario:
 class TestBench:
     def test_uses_the_count_given(self):
         spec = spec_for("NormalMixture", p=5, n=60, reps=3)
-        out = bench_variant(spec)
-        assert out["measurements"] == spec.reps
-        assert out["median_seconds"] > 0.0
-        assert out["variant"] == "v6"
-        seconds = run_scenario(spec).detect_seconds
+        report = run_scenario(spec)
+        seconds = report.detect_seconds
         assert len(seconds) == spec.reps
         assert all(t > 0.0 for t in seconds)
+        row = scenario_row("bench", report)
+        assert row["reps"] == spec.reps and row["variant"] == "v6"
+        assert row["median_seconds"] == float(np.median(seconds)) > 0.0
