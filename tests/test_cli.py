@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from rmdshrink.cli import build_parser, main
-from rmdshrink.io import parse_scenarios, scenario_id
+from rmdshrink.io import parse_scenarios, scenario_id, scenario_row
+from rmdshrink.simulate import run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -400,6 +401,17 @@ class TestBench:
         spec_id = scenario_id(parse_scenarios(json.dumps(config))[0])
         assert status.startswith(f"{spec_id}: median_seconds=")
         assert row["scenario"] == spec_id
+
+    def test_csv_header_is_the_keys_bench_variant_returns(self, tmp_path):
+        # The bench header is the keys of the row scenario_row builds for bench.
+        config = tiny_config()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--config", str(cfg), "--output", str(out)]) == 0
+        header = out.read_text().splitlines()[0].split(",")
+        spec = parse_scenarios(json.dumps(config))[0]
+        assert header == list(scenario_row("bench", run_scenario(spec)))
 
     @pytest.mark.filterwarnings("ignore:fewer observations than dimensions")
     def test_refused_scenario_is_skipped_and_exits_1(self, tmp_path, capsys):
