@@ -11,23 +11,51 @@ from .location import _NORM_FLOOR, l1_median
 from .primitives import as_data_matrix
 
 
+# Floats in one block of pairwise distances: about 8 rows at n = 2000.
+_BLOCK_FLOATS = 2**14
+
+
+def _depths(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """L1 depth of each row of ``points`` within the rows of ``X``.
+
+    With W the inverse distances from a block of points Q to the rows of
+    X (0 where a row coincides with the point), the summed unit directions
+    are Q * W.sum(1) - W @ X. Both are centred at the column median of X
+    first, which leaves the depth unchanged and keeps that difference small.
+    """
+    n, p = X.shape
+    center = np.median(X, axis=0)
+    Xc = X - center
+    Pc = points - center
+    depths = np.empty(Pc.shape[0])
+    block = max(1, _BLOCK_FLOATS // n)
+    for start in range(0, Pc.shape[0], block):
+        Q = Pc[start : start + block]
+        W = np.zeros((Q.shape[0], n))
+        for k in range(p):
+            diff = Q[:, k, None] - Xc[:, k]
+            W += diff * diff
+        np.sqrt(W, out=W)
+        W = np.divide(1.0, W, out=np.zeros_like(W), where=W > _NORM_FLOOR)
+        total = Q * W.sum(axis=1)[:, None] - W @ Xc
+        depths[start : start + block] = 1.0 - np.linalg.norm(total, axis=1) / n
+    return depths
+
+
 def l1_depth(data, point) -> float:
     """Depth of a point: 1 minus the norm of the mean unit direction to it.
 
     Observations coinciding with the point are skipped; the average still
-    divides by the full sample size, so the value stays in [0, 1].
+    divides by the full sample size, so the value stays in [0, 1]. A point
+    with a NaN or infinite entry is refused.
     """
     X = as_data_matrix(data)
     v = np.asarray(point, dtype=float).ravel()
     if v.shape[0] != X.shape[1]:
         raise ValueError("point length does not match number of columns")
-    diffs = X - v
-    norms = np.linalg.norm(diffs, axis=1)
-    keep = norms > _NORM_FLOOR
-    if not keep.any():
-        return 1.0
-    mean_direction = (diffs[keep] / norms[keep, None]).sum(axis=0) / X.shape[0]
-    return float(1.0 - np.linalg.norm(mean_direction))
+    if not np.all(np.isfinite(v)):
+        raise ValueError("point contains NaN or infinite entries")
+    return float(_depths(X, v[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -61,7 +89,7 @@ def boxplot_summary(data, flags) -> BoxplotSummary:
         raise ValueError("flags length does not match data")
     if n < 2:
         raise ValueError("need at least two observations")
-    depths = np.array([l1_depth(X, X[i]) for i in range(n)])
+    depths = _depths(X, X)
     order = np.argsort(-depths, kind="stable")
     deepest = order[: math.ceil(n / 2)]
     q1 = X[deepest].min(axis=0)

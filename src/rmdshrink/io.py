@@ -181,9 +181,9 @@ def detection_to_json(report: DetectionReport, column_names=None) -> str:
         "eta_location": report.eta_location,
         "eta_scatter": report.eta_scatter,
         "columns": column_names,
-        "d2": [float(v) for v in report.d2],
-        "flags": [bool(v) for v in report.flags],
-        "flagged_indices": [int(i) for i in np.flatnonzero(report.flags)],
+        "d2": report.d2.tolist(),
+        "flags": report.flags.tolist(),
+        "flagged_indices": np.flatnonzero(report.flags).tolist(),
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -201,18 +201,18 @@ def boxplot_to_json(summary: BoxplotSummary, data, report: DetectionReport) -> s
     payload = {
         "variant": report.variant,
         "threshold": report.threshold,
-        "median_point": [float(v) for v in summary.median_point],
-        "q1": [float(v) for v in summary.q1],
-        "q3": [float(v) for v in summary.q3],
-        "fences_lo": [float(v) for v in summary.fences_lo],
-        "fences_hi": [float(v) for v in summary.fences_hi],
-        "depth_order": [int(i) for i in summary.depth_order],
+        "median_point": summary.median_point.tolist(),
+        "q1": summary.q1.tolist(),
+        "q3": summary.q3.tolist(),
+        "fences_lo": summary.fences_lo.tolist(),
+        "fences_hi": summary.fences_hi.tolist(),
+        "depth_order": summary.depth_order.tolist(),
         "counts": {
             "inside_fences": summary.n_inside,
             "outside_fences": summary.n_outside,
             "flagged_total": summary.n_flagged,
         },
-        "rows": [[float(v) for v in row] for row in X],
-        "flags": [bool(v) for v in report.flags],
+        "rows": X.tolist(),
+        "flags": report.flags.tolist(),
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -3,7 +3,9 @@
 The benchmark's tracer and workloads are imported unchanged from the
 checkout, so deleting or reshaping something they use (a traced function,
 ``scatter._LOCATION_FNS``, ``l1_median(mode=)``, ``VARIANTS``, positional
-``ScenarioSpec``) fails here and not only in a benchmark run.
+``ScenarioSpec``) fails here and not only in a benchmark run. The
+``boxplot_table`` check runs on one boxplot command, so the depth order,
+fences and counts meet the benchmark's own reference on every test run.
 """
 
 import importlib.util
@@ -68,3 +70,10 @@ def test_detection_passes_the_benchmark_check(variant):
     det = rm.detect(X, variant, workloads.QUANTILE)
     workloads.check_detection(X, variant, det.threshold, det.d2, det.flags,
                               det.eta_location, det.eta_scatter, variant)
+
+
+def test_boxplot_passes_the_benchmark_check(tmp_path):
+    workload = workloads.BoxplotTable(seed=1, workdir=str(tmp_path))
+    workload.build()
+    (op,) = workload.ops
+    workload.check({op.key: op.run()})

@@ -1,8 +1,11 @@
 """Directional depth and the depth-based box summary."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rmdshrink import depth
 from rmdshrink.depth import BoxplotSummary, boxplot_summary, l1_depth
 from rmdshrink.location import l1_median
 
@@ -45,12 +48,71 @@ class TestL1Depth:
             d = l1_depth(X, X[i])
             assert 0.0 <= d <= 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_is_refused(self, bad):
+        X = np.random.default_rng(2).standard_normal((10, 3))
+        with pytest.raises(ValueError, match="point contains NaN or infinite entries"):
+            l1_depth(X, [bad, 0.0, 0.0])
+
     def test_deep_point_beats_shallow_point(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((60, 2))
         center_depth = l1_depth(X, np.zeros(2))
         edge_depth = l1_depth(X, np.array([3.0, 3.0]))
         assert center_depth > edge_depth
+
+
+def oracle_depths(X):
+    return np.array([depth_oracle(X, x) for x in X])
+
+
+class TestDepthKernel:
+    # (n, block floats): one block, an exact multiple of the block (4 rows),
+    # not a multiple (5, 5, 3 rows), and one row per block.
+    @pytest.mark.parametrize("n, block_floats", [
+        (7, 2**14), (12, 12 * 4), (13, 13 * 5), (9, 1),
+    ])
+    def test_blocks_match_the_loop_oracle(self, monkeypatch, n, block_floats):
+        monkeypatch.setattr(depth, "_BLOCK_FLOATS", block_floats)
+        X = np.random.default_rng(n).standard_normal((n, 3))
+        assert np.allclose(depth._depths(X, X), oracle_depths(X), rtol=0, atol=1e-12)
+
+    def test_coincident_rows_are_skipped(self, monkeypatch):
+        monkeypatch.setattr(depth, "_BLOCK_FLOATS", 20)
+        X = np.random.default_rng(3).standard_normal((10, 2))
+        X[5:8] = X[0]
+        X[8] = X[0] + 1e-14  # within the norm floor, so skipped too
+        assert np.allclose(depth._depths(X, X), oracle_depths(X), rtol=0, atol=1e-12)
+
+    def test_all_rows_equal_have_full_depth(self):
+        X = np.tile([1.5, -2.0, 0.25], (6, 1))
+        assert np.array_equal(depth._depths(X, X), np.ones(6))
+
+    def test_one_column_two_rows(self):
+        X = np.array([[0.0], [3.0]])
+        assert np.allclose(depth._depths(X, X), [0.5, 0.5], rtol=0, atol=1e-12)
+        assert np.allclose(depth._depths(X, X), oracle_depths(X), rtol=0, atol=1e-12)
+
+    def test_large_offset_keeps_precision(self):
+        X = np.random.default_rng(4).standard_normal((300, 100)) + 1e6
+        assert np.allclose(depth._depths(X, X), oracle_depths(X), rtol=0, atol=1e-12)
+
+    def test_depth_order_is_the_oracle_stable_order(self):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((300, 4)) / np.sqrt(rng.chisquare(3.0, 300) / 3.0)[:, None]
+        out = boxplot_summary(X, np.zeros(300, dtype=bool))
+        assert np.array_equal(out.depth_order, np.argsort(-oracle_depths(X), kind="stable"))
+
+    def test_traced_peak_is_bounded(self):
+        X = np.random.default_rng(5).standard_normal((2000, 5))
+        flags = np.zeros(2000, dtype=bool)
+        tracemalloc.start()
+        try:
+            boxplot_summary(X, flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestBoxplotSummary:
