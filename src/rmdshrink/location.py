@@ -81,7 +81,8 @@ def sandwich_trace(data, center) -> float:
 
     Averages A(y) = (1/|y|)(I - y y'/|y|^2) and B(y) = y y'/|y|^2 over the
     centered observations, skipping near-zero norms, and returns
-    trace((1/n) A^{-1} B A^{-1}).
+    trace((1/n) A^{-1} B A^{-1}) from one eigen-decomposition of A = V L V':
+    with B = U'U/m over the m unit directions U, it is |U V L^{-1}|^2 / (m n).
     """
     X = as_data_matrix(data)
     c = np.asarray(center, dtype=float).ravel()
@@ -96,26 +97,28 @@ def sandwich_trace(data, center) -> float:
     m = int(keep.sum())
     if m == 0:
         raise ValueError("degenerate direction distribution")
-    Yk = Y[keep]
     r = norms[keep]
-    U = Yk / r[:, None]
-    B = (U.T @ U) / m
-    A = (np.sum(1.0 / r) * np.eye(p) - (Yk / r[:, None] ** 3).T @ Yk) / m
-    if np.linalg.cond(A) > 1e12:
+    U = Y[keep] / r[:, None]
+    # A's eigenvalues lie in [0, s]; at p = 1 A is zero up to rounding.
+    s = float(np.sum(1.0 / r)) / m
+    lam, V = np.linalg.eigh(s * np.eye(p) - ((U / r[:, None]).T @ U) / m)
+    if lam[0] <= 1e-12 * s:
         raise ValueError("degenerate direction distribution")
-    half = np.linalg.solve(A, B)
-    inner = np.linalg.solve(A, half.T)
-    return float(np.trace(inner)) / n
+    W = (U @ V) / lam
+    return float(np.sum(W * W)) / (m * n)
+
+
+def _intensity(proxy: float, distance2: float) -> float:
+    """proxy / distance2 clipped to [0, 1]; 1 when the estimate sits on its target."""
+    if distance2 <= _TARGET_FLOOR:
+        return 1.0
+    return min(max(proxy / distance2, 0.0), 1.0)
 
 
 def _shrink_toward_common(mu: np.ndarray, numerator: float) -> tuple[np.ndarray, float, float]:
     nu = float(mu.mean())
     gap = mu - nu
-    denom = float(gap @ gap)
-    if denom <= _TARGET_FLOOR:
-        eta = 1.0
-    else:
-        eta = min(max(numerator / denom, 0.0), 1.0)
+    eta = _intensity(numerator, float(gap @ gap))
     return (1.0 - eta) * mu + eta * nu, eta, nu
 
 
@@ -145,7 +148,9 @@ def shrink_ccm(data) -> LocationEstimate:
 
 def _shrink_mm_at(X: np.ndarray, mu: np.ndarray) -> LocationEstimate:
     # Shrink an already computed spatial median mu of the rows of X.
-    numerator = sandwich_trace(X, mu)
+    # At p = 1 the target is mu itself, so the intensity is pinned at 1 and
+    # the sandwich, degenerate there, is not needed.
+    numerator = sandwich_trace(X, mu) if X.shape[1] > 1 else 0.0
     center, eta, nu = _shrink_toward_common(mu, numerator)
     return LocationEstimate(center=center, method="shrink_mm", eta=eta, nu_mu=nu)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import solve_triangular
 from scipy.special import gammaincinv
 
 # Variance adjustment for median-of-products scale estimates under
@@ -105,12 +105,8 @@ class PDMatrix:
 
 
 def quad_form(m: PDMatrix, y) -> float:
-    """Evaluate y' M^{-1} y through triangular solves on the cached factor."""
-    v = np.asarray(y, dtype=float).ravel()
-    if v.shape[0] != m.dim:
-        raise ValueError("vector length does not match matrix dimension")
-    sol = cho_solve((m.factor, True), v)
-    return float(v @ sol)
+    """Evaluate y' M^{-1} y as |L^{-1} y|^2, one triangular solve on the cached factor."""
+    return float(quad_form_rows(m, np.asarray(y, dtype=float).reshape(1, -1))[0])
 
 
 def quad_form_rows(m: PDMatrix, rows) -> np.ndarray:
@@ -118,5 +114,5 @@ def quad_form_rows(m: PDMatrix, rows) -> np.ndarray:
     R = np.asarray(rows, dtype=float)
     if R.ndim != 2 or R.shape[1] != m.dim:
         raise ValueError("row width does not match matrix dimension")
-    sol = cho_solve((m.factor, True), R.T)
-    return np.einsum("ij,ji->i", R, sol)
+    Z = solve_triangular(m.factor, R.T, lower=True)
+    return np.einsum("ij,ij->j", Z, Z)

@@ -8,6 +8,7 @@ import numpy as np
 
 from .location import (
     LocationEstimate,
+    _intensity,
     _shrink_ccm_at,
     _shrink_mm_at,
     ccm_median,
@@ -69,7 +70,8 @@ def shrink_scatter(data, center) -> ScatterEstimate:
     if trace_S <= _DISPERSION_FLOOR:
         raise ValueError("scatter degenerate: no dispersion")
     nu = trace_S / p
-    deviation = S - nu * np.eye(p)
+    target = nu * np.eye(p)
+    deviation = S - target
     d2 = float((deviation * deviation).sum()) / p
     Y = X - c
     q = np.einsum("ij,ij->i", Y, Y)
@@ -77,11 +79,8 @@ def shrink_scatter(data, center) -> ScatterEstimate:
     cross = float((S * (Y.T @ Y)).sum())
     frob2_S = float((S * S).sum())
     b2 = (float((q * q).sum()) - 2.0 * cross + n * frob2_S) / (n * n * p)
-    if d2 <= _DISPERSION_FLOOR:
-        eta = 1.0
-    else:
-        eta = min(max(min(b2, d2) / d2, 0.0), 1.0)
-    combined = (1.0 - eta) * S + eta * nu * np.eye(p)
+    eta = _intensity(b2, d2)
+    combined = (1.0 - eta) * S + eta * target
     return ScatterEstimate(matrix=PDMatrix.from_symmetric(combined), eta=eta, nu_sigma=nu)
 
 

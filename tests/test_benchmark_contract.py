@@ -6,6 +6,8 @@ checkout, so deleting or reshaping something they use (a traced function,
 ``ScenarioSpec``) fails here and not only in a benchmark run. The
 ``boxplot_table`` check runs on one boxplot command, so the depth order,
 fences and counts meet the benchmark's own reference on every test run.
+The ``simulate_grid`` check runs on the first replicate of every grid
+cell, so every variant's distances and intensities meet it too.
 """
 
 import importlib.util
@@ -77,3 +79,22 @@ def test_boxplot_passes_the_benchmark_check(tmp_path):
     workload.build()
     (op,) = workload.ops
     workload.check({op.key: op.run()})
+
+
+def test_simulate_grid_passes_the_benchmark_check(tmp_path):
+    workload = workloads.SimulateGrid(seed=1, workdir=str(tmp_path))
+    workload.build()
+    first = {}
+    for op, spec in zip(workload.ops, workload.specs):
+        cell = (spec.family, spec.p, spec.n, spec.alpha, spec.delta, spec.lam, spec.variant)
+        first.setdefault(cell, (op, spec))
+    workload.ops = [op for op, _ in first.values()]
+    workload.specs = [spec for _, spec in first.values()]
+    outputs = {}
+    for i, op in enumerate(workload.ops):
+        # A refusal is an output, as in perfbench/run.py.
+        try:
+            outputs[i] = op.run()
+        except ValueError as exc:
+            outputs[i] = exc
+    workload.check(outputs)

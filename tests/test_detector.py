@@ -138,6 +138,18 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect(X, "v1")
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("variant, plain",
+                             [("v2", "v1"), ("v3", "v1"), ("v5", "v4"), ("v6", "v4")])
+    def test_one_column_shrunk_variants_equal_plain(self, variant, plain, seed):
+        # at p = 1 the equal-coordinate target is the center itself
+        X, _ = planted_sample(seed=seed, n=50, p=1, k=3, offset=8.0)
+        report = detect(X, variant)
+        base = detect(X, plain)
+        assert report.eta_location == 1.0
+        assert np.array_equal(report.d2, base.d2)
+        assert np.array_equal(report.flags, base.flags)
+
     def test_report_carries_shrinkage_intensities(self):
         X, _ = planted_sample(seed=19)
         report = detect(X, "v6")

@@ -133,13 +133,23 @@ def sandwich_oracle(X, center):
     return np.trace(Ainv @ B @ Ainv) / n
 
 
+# (seed, largest p, smallest n, t3 rows): seeds 0-7 are small normal samples,
+# the rest reach p = 30 and alternate normal and t3 rows.
+SANDWICH_CASES = [(seed, 5, 10, False) for seed in range(8)] + [
+    (seed, 30, 60, seed % 2 == 1) for seed in range(8, 40)
+]
+
+
 class TestSandwichTrace:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_loop_recomputation(self, seed):
+    @pytest.mark.parametrize("seed, p_max, n_min, t3", SANDWICH_CASES,
+                             ids=[str(case[0]) for case in SANDWICH_CASES])
+    def test_matches_loop_recomputation(self, seed, p_max, n_min, t3):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(10, 60))
-        p = int(rng.integers(2, 6))
+        n = int(rng.integers(n_min, n_min + 50))
+        p = int(rng.integers(2, p_max + 1))
         X = rng.standard_normal((n, p))
+        if t3:
+            X /= np.sqrt(rng.chisquare(3.0, n) / 3.0)[:, None]
         center = np.median(X, axis=0)
         got = sandwich_trace(X, center)
         want = sandwich_oracle(X, center)
@@ -174,6 +184,14 @@ class TestSandwichTrace:
     def test_requires_enough_rows(self):
         with pytest.raises(ValueError):
             sandwich_trace(np.ones((2, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_column_rejected(self, seed):
+        # at p = 1, A = mean(1/r - y^2/r^3) is zero up to rounding
+        X = np.random.default_rng(seed).standard_normal((50, 1))
+        X[:3] += 8.0
+        with pytest.raises(ValueError, match="degenerate direction"):
+            sandwich_trace(X, l1_median(X).center)
 
     def test_all_rows_at_center_rejected(self):
         X = np.tile([1.0, 2.0], (6, 1))

@@ -232,12 +232,23 @@ class TestQuadForm:
         assert quad_form(m, y) > 0.0
 
     def test_rowwise_matches_per_row_evaluation(self):
+        # quad_form is quad_form_rows on one row, so the reference is LAPACK's
+        # general solve on the entries, not the factor
         rng = np.random.default_rng(17)
         m = PDMatrix.from_symmetric(random_pd(rng, 4))
         R = rng.standard_normal((12, 4))
-        rows = quad_form_rows(m, R)
-        for i in range(12):
-            assert math.isclose(rows[i], quad_form(m, R[i]), rel_tol=1e-10)
+        want = np.einsum("ij,ji->i", R, np.linalg.solve(m.entries, R.T))
+        assert np.allclose(quad_form_rows(m, R), want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rows_rejected(self, bad):
+        m = PDMatrix.from_symmetric(random_pd(np.random.default_rng(3), 3))
+        R = np.ones((4, 3))
+        R[2, 1] = bad
+        with pytest.raises(ValueError):
+            quad_form_rows(m, R)
+        with pytest.raises(ValueError):
+            quad_form(m, R[2])
 
 
 class TestDataMatrixValidation:
