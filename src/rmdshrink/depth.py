@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .location import _NORM_FLOOR, l1_median
-from .primitives import as_data_matrix
+from .primitives import _as_vector, as_data_matrix
 
 
 # Floats in one block of pairwise distances: about 8 rows at n = 2000.
@@ -50,11 +50,7 @@ def l1_depth(data, point) -> float:
     with a NaN or infinite entry is refused.
     """
     X = as_data_matrix(data)
-    v = np.asarray(point, dtype=float).ravel()
-    if v.shape[0] != X.shape[1]:
-        raise ValueError("point length does not match number of columns")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("point contains NaN or infinite entries")
+    v = _as_vector(point, X.shape[1], "point")
     return float(_depths(X, v[None, :])[0])
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .location import LocationEstimate
-from .primitives import as_data_matrix, chi2_quantile, quad_form_rows
+from .primitives import _as_vector, as_data_matrix, chi2_quantile, quad_form_rows
 from .scatter import ScatterEstimate, scatter_for_variant
 
 DEFAULT_QUANTILE = 0.975
@@ -30,8 +30,8 @@ class DetectionReport:
 def rmd_squared(data, loc: LocationEstimate, scat: ScatterEstimate) -> np.ndarray:
     """Squared robust Mahalanobis distance of every row."""
     X = as_data_matrix(data)
-    center = np.asarray(loc.center, dtype=float).ravel()
-    if X.shape[1] != scat.matrix.dim or X.shape[1] != center.shape[0]:
+    center = _as_vector(loc.center, X.shape[1], "center")
+    if X.shape[1] != scat.matrix.dim:
         raise ValueError("dimension mismatch between data and estimates")
     return quad_form_rows(scat.matrix, X - center)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primitives import COMEDIAN_ADJUST, as_data_matrix
+from .primitives import COMEDIAN_ADJUST, _as_vector, as_data_matrix
 
 # Norm floor below which a centered observation carries no direction
 # information: Weiszfeld, the sandwich averages and the L1 depth skip it.
@@ -85,10 +85,8 @@ def sandwich_trace(data, center) -> float:
     with B = U'U/m over the m unit directions U, it is |U V L^{-1}|^2 / (m n).
     """
     X = as_data_matrix(data)
-    c = np.asarray(center, dtype=float).ravel()
     n, p = X.shape
-    if c.shape[0] != p:
-        raise ValueError("center length does not match number of columns")
+    c = _as_vector(center, p, "center")
     if n < p:
         raise ValueError("need at least as many observations as dimensions")
     Y = X - c

@@ -5,15 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaincinv
 
 # Variance adjustment for median-of-products scale estimates under
 # normality: 1 / Phi^{-1}(3/4)^2, rounded to four significant figures.
 COMEDIAN_ADJUST = 2.198
 
-# Relative pivot floor below which a factorization counts as singular.
-_PIVOT_RTOL = 1e-12
+# Positive definite means: smallest eigenvalue > _EIGEN_RTOL * largest.
+_EIGEN_RTOL = 1e-12
 
 # Floats per product block in `comedian`: larger blocks fall out of cache.
 _BLOCK_FLOATS = 2**18
@@ -29,6 +28,16 @@ def as_data_matrix(data) -> np.ndarray:
     return arr
 
 
+def _as_vector(v, p: int, name: str) -> np.ndarray:
+    """Validate and return a finite float vector of length p; ``name`` labels errors."""
+    arr = np.asarray(v, dtype=float).ravel()
+    if arr.shape[0] != p:
+        raise ValueError(f"{name} length does not match number of columns")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains NaN or infinite entries")
+    return arr
+
+
 def comedian(data, center) -> np.ndarray:
     """Entrywise median of cross products of centered columns.
 
@@ -37,11 +46,7 @@ def comedian(data, center) -> np.ndarray:
     median as center, the diagonal reduces to squared MADs.
     """
     X = as_data_matrix(data)
-    c = np.asarray(center, dtype=float).ravel()
-    if c.shape[0] != X.shape[1]:
-        raise ValueError("center length does not match number of columns")
-    if not np.isfinite(c).all():
-        raise ValueError("center contains NaN or infinite entries")
+    c = _as_vector(center, X.shape[1], "center")
     # Rows [a, b) of the upper triangle come from one product block of about
     # _BLOCK_FLOATS entries, then are mirrored, so memory stays O(n*p + p*p)
     # and each entry is the median of the same sequence as the full product.
@@ -73,10 +78,11 @@ def chi2_quantile(dof: int, prob: float) -> float:
 
 @dataclass(frozen=True)
 class PDMatrix:
-    """Symmetric positive-definite matrix with its cached lower factor."""
+    """Symmetric positive-definite matrix with its eigen-decomposition, eigenvalues ascending."""
 
     entries: np.ndarray
-    factor: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @classmethod
     def from_symmetric(cls, entries) -> "PDMatrix":
@@ -86,18 +92,13 @@ class PDMatrix:
         if not np.isfinite(m).all():
             raise ValueError("matrix contains NaN or infinite entries")
         if not np.array_equal(m, m.T):
-            scale = max(1.0, float(np.abs(m).max()))
-            if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * scale):
+            if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * float(np.abs(m).max())):
                 raise ValueError("matrix is not symmetric")
             m = 0.5 * (m + m.T)
-        try:
-            factor = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValueError("matrix is not positive definite") from None
-        pivot_floor = _PIVOT_RTOL * float(np.max(np.diag(m)))
-        if float(np.min(np.diag(factor)) ** 2) <= pivot_floor:
-            raise ValueError("matrix is not positive definite within pivot tolerance")
-        return cls(entries=m, factor=factor)
+        lam, V = np.linalg.eigh(m)
+        if lam[0] <= _EIGEN_RTOL * lam[-1]:
+            raise ValueError("matrix is not positive definite")
+        return cls(entries=m, eigenvalues=lam, eigenvectors=V)
 
     @property
     def dim(self) -> int:
@@ -105,14 +106,17 @@ class PDMatrix:
 
 
 def quad_form(m: PDMatrix, y) -> float:
-    """Evaluate y' M^{-1} y as |L^{-1} y|^2, one triangular solve on the cached factor."""
+    """Evaluate y' M^{-1} y as sum_j (v_j' y)^2 / lambda_j over the cached eigen-decomposition."""
     return float(quad_form_rows(m, np.asarray(y, dtype=float).reshape(1, -1))[0])
 
 
 def quad_form_rows(m: PDMatrix, rows) -> np.ndarray:
-    """quad_form applied to every row of a matrix at once."""
+    """quad_form applied to every row of a matrix at once, by one product R V."""
     R = np.asarray(rows, dtype=float)
     if R.ndim != 2 or R.shape[1] != m.dim:
         raise ValueError("row width does not match matrix dimension")
-    Z = solve_triangular(m.factor, R.T, lower=True)
-    return np.einsum("ij,ij->j", Z, Z)
+    if not np.isfinite(R).all():
+        raise ValueError("rows contain NaN or infinite entries")
+    Z = R @ m.eigenvectors
+    Z *= Z
+    return Z @ (1.0 / m.eigenvalues)

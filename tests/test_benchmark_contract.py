@@ -7,7 +7,9 @@ checkout, so deleting or reshaping something they use (a traced function,
 ``boxplot_table`` check runs on one boxplot command, so the depth order,
 fences and counts meet the benchmark's own reference on every test run.
 The ``simulate_grid`` check runs on the first replicate of every grid
-cell, so every variant's distances and intensities meet it too.
+cell, so every variant's distances and intensities meet it too. The
+``detect_wide`` check runs on its six detections at p = 100, n = 2000,
+where a change to the distance computation moves d2 the most.
 """
 
 import importlib.util
@@ -33,6 +35,14 @@ def load_perfbench_module(name):
 
 tracing = load_perfbench_module("tracing")
 workloads = load_perfbench_module("workloads")
+
+
+def run_or_refusal(op):
+    """The output of one operation; a refusal is an output, as in perfbench/run.py."""
+    try:
+        return op.run()
+    except ValueError as exc:
+        return exc
 
 
 def planted_sample(seed=5, n=80, p=4, k=6):
@@ -74,6 +84,12 @@ def test_detection_passes_the_benchmark_check(variant):
                               det.eta_location, det.eta_scatter, variant)
 
 
+def test_detect_wide_passes_the_benchmark_check(tmp_path):
+    workload = workloads.DetectWide(seed=1, workdir=str(tmp_path))
+    workload.build()
+    workload.check({op.key: run_or_refusal(op) for op in workload.ops})
+
+
 def test_boxplot_passes_the_benchmark_check(tmp_path):
     workload = workloads.BoxplotTable(seed=1, workdir=str(tmp_path))
     workload.build()
@@ -90,11 +106,4 @@ def test_simulate_grid_passes_the_benchmark_check(tmp_path):
         first.setdefault(cell, (op, spec))
     workload.ops = [op for op, _ in first.values()]
     workload.specs = [spec for _, spec in first.values()]
-    outputs = {}
-    for i, op in enumerate(workload.ops):
-        # A refusal is an output, as in perfbench/run.py.
-        try:
-            outputs[i] = op.run()
-        except ValueError as exc:
-            outputs[i] = exc
-    workload.check(outputs)
+    workload.check({i: run_or_refusal(op) for i, op in enumerate(workload.ops)})

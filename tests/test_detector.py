@@ -1,6 +1,7 @@
 """End-to-end detection behavior: distances, thresholds, invariances."""
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ class TestRmdSquared:
         loc, scat = scatter_for_variant(X, "v1")
         with pytest.raises(ValueError):
             rmd_squared(np.ones((4, 2)), loc, scat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_center_rejected(self, bad):
+        X = np.random.default_rng(7).standard_normal((20, 3))
+        loc, scat = scatter_for_variant(X, "v1")
+        center = loc.center.copy()
+        center[0] = bad
+        with pytest.raises(ValueError, match="center contains NaN or infinite entries"):
+            rmd_squared(X, dataclasses.replace(loc, center=center), scat)
 
 
 class TestDetect:

@@ -185,6 +185,14 @@ class TestSandwichTrace:
         with pytest.raises(ValueError):
             sandwich_trace(np.ones((2, 3)), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_center_rejected(self, bad):
+        X = np.random.default_rng(7).standard_normal((20, 3))
+        center = np.median(X, axis=0)
+        center[1] = bad
+        with pytest.raises(ValueError, match="center contains NaN or infinite entries"):
+            sandwich_trace(X, center)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_one_column_rejected(self, seed):
         # at p = 1, A = mean(1/r - y^2/r^3) is zero up to rounding

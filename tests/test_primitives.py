@@ -171,18 +171,40 @@ class TestPDMatrix:
         assert np.allclose(m.entries, np.eye(3))
         assert m.dim == 3
 
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="not positive definite"):
-            PDMatrix.from_symmetric(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_rejects_near_singular_by_pivot_tolerance(self):
-        m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("m", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        np.zeros((2, 2)),
+        -np.eye(2),
+    ], ids=["indefinite", "zero", "negative_definite"])
+    def test_rejects_indefinite(self, m):
+        with pytest.raises(ValueError, match="^matrix is not positive definite$"):
             PDMatrix.from_symmetric(m)
+
+    def test_rejects_near_singular_by_eigenvalue_ratio(self):
+        # eigenvalues about 5e-15 and 2: the ratio is far below 1e-12
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+        with pytest.raises(ValueError, match="^matrix is not positive definite$"):
+            PDMatrix.from_symmetric(m)
+
+    def test_eigenvalue_ratio_boundary(self):
+        # a rotated diag(1, small): the rule reads the spectrum, not the diagonal
+        t = 0.6
+        Q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        with pytest.raises(ValueError, match="^matrix is not positive definite$"):
+            PDMatrix.from_symmetric(Q @ np.diag([1.0, 5e-13]) @ Q.T)
+        pd = PDMatrix.from_symmetric(Q @ np.diag([1.0, 2e-12]) @ Q.T)
+        assert math.isclose(pd.eigenvalues[0], 2e-12, rel_tol=1e-3)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             PDMatrix.from_symmetric(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e26])
+    def test_symmetry_tolerance_is_relative(self, scale):
+        # the asymmetry equals the largest entry, at any magnitude
+        m = scale * np.array([[1e-13, 1e-13], [0.0, 1e-13]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            PDMatrix.from_symmetric(m)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -200,8 +222,10 @@ class TestPDMatrix:
         rng = np.random.default_rng(seed)
         m = random_pd(rng, 5)
         pd = PDMatrix.from_symmetric(m)
-        resid = np.abs(pd.entries - pd.factor @ pd.factor.T).max()
+        V = pd.eigenvectors
+        resid = np.abs(pd.entries - V @ np.diag(pd.eigenvalues) @ V.T).max()
         assert resid <= 1e-10 * np.abs(pd.entries).max()
+        assert np.all(np.diff(pd.eigenvalues) >= 0.0)
 
 
 class TestQuadForm:
@@ -233,7 +257,7 @@ class TestQuadForm:
 
     def test_rowwise_matches_per_row_evaluation(self):
         # quad_form is quad_form_rows on one row, so the reference is LAPACK's
-        # general solve on the entries, not the factor
+        # general solve on the entries, not the eigen-decomposition
         rng = np.random.default_rng(17)
         m = PDMatrix.from_symmetric(random_pd(rng, 4))
         R = rng.standard_normal((12, 4))
@@ -245,9 +269,9 @@ class TestQuadForm:
         m = PDMatrix.from_symmetric(random_pd(np.random.default_rng(3), 3))
         R = np.ones((4, 3))
         R[2, 1] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="NaN or infinite"):
             quad_form_rows(m, R)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="NaN or infinite"):
             quad_form(m, R[2])
 
 
