@@ -33,14 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_detect = sub.add_parser("detect", help="flag outlying rows of a CSV table")
-    p_detect.add_argument("--input", required=True, help="numeric CSV file")
-    p_detect.add_argument("--variant", choices=sorted(VARIANTS), default="v6")
-    p_detect.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE)
+    _add_detection_args(p_detect)
     p_detect.add_argument("--format", choices=("json", "csv"), default="json")
-    p_detect.add_argument("--output", required=True)
-    p_detect.add_argument(
-        "--has-header", action="store_true", help="first row holds column names"
-    )
 
     p_sim = sub.add_parser("simulate", help="run scenario configs and write a metrics CSV")
     _add_scenario_args(p_sim)
@@ -49,11 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_box = sub.add_parser(
         "boxplot", help="detect outliers and emit depth-based boxplot plot data"
     )
-    p_box.add_argument("--input", required=True)
-    p_box.add_argument("--variant", choices=sorted(VARIANTS), default="v6")
-    p_box.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE)
-    p_box.add_argument("--output", required=True)
-    p_box.add_argument("--has-header", action="store_true")
+    _add_detection_args(p_box)
 
     p_bench = sub.add_parser("bench", help="time detection per scenario and variant")
     _add_scenario_args(p_bench)
@@ -78,6 +68,14 @@ def _cmd_detect(args) -> int:
     flagged = int(report.flags.sum())
     print(f"{args.input}: flagged {flagged} of {len(report.flags)} rows ({args.variant})")
     return 0
+
+
+def _add_detection_args(parser) -> None:
+    parser.add_argument("--input", required=True, help="numeric CSV file")
+    parser.add_argument("--variant", choices=sorted(VARIANTS), default="v6")
+    parser.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE)
+    parser.add_argument("--output", required=True)
+    parser.add_argument("--has-header", action="store_true", help="first row holds column names")
 
 
 def _add_scenario_args(parser) -> None:

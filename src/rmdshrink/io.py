@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -81,11 +82,22 @@ def load_csv(path, has_header: bool = False) -> tuple[np.ndarray, list[str] | No
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write through a temp file and rename, so partial output never lands."""
+    """Write through a temp file and rename, so partial output never lands.
+
+    The file gets the permissions of a plain ``open(path, "w")`` (mkstemp's
+    are 0600): those of the file it replaces, else 0666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

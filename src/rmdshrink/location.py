@@ -25,9 +25,14 @@ _TARGET_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class LocationEstimate:
-    """A p-vector center plus its method tag and shrinkage metadata."""
+    """A p-vector center plus its method tag and shrinkage metadata.
+
+    ``median`` is the raw median the center was shrunk from, or the center
+    itself when unshrunk.
+    """
 
     center: np.ndarray
+    median: np.ndarray
     method: str
     eta: float | None = None
     nu_mu: float | None = None
@@ -35,8 +40,8 @@ class LocationEstimate:
 
 def ccm_median(data) -> LocationEstimate:
     """Component-wise median of the rows."""
-    X = as_data_matrix(data)
-    return LocationEstimate(center=np.median(X, axis=0), method="ccm")
+    mu = np.median(as_data_matrix(data), axis=0)
+    return LocationEstimate(center=mu, median=mu, method="ccm")
 
 
 def _weiszfeld(X: np.ndarray) -> np.ndarray:
@@ -73,7 +78,8 @@ def l1_median(data, mode: str = "geometric") -> LocationEstimate:
     """
     if mode != "geometric":
         raise ValueError(f"unknown mode {mode!r}")
-    return LocationEstimate(center=_weiszfeld(as_data_matrix(data)), method="mm")
+    mu = _weiszfeld(as_data_matrix(data))
+    return LocationEstimate(center=mu, median=mu, method="mm")
 
 
 def sandwich_trace(data, center) -> float:
@@ -120,19 +126,6 @@ def _shrink_toward_common(mu: np.ndarray, numerator: float) -> tuple[np.ndarray,
     return (1.0 - eta) * mu + eta * nu, eta, nu
 
 
-def _shrink_ccm_at(X: np.ndarray, mu: np.ndarray) -> LocationEstimate:
-    # Shrink an already computed component-wise median mu of the rows of X.
-    n = X.shape[0]
-    if n < 2:
-        raise ValueError("need at least two observations")
-    # The trace of the adjusted comedian at mu, without building the p x p matrix.
-    Y = X - mu
-    trace_S = float(np.sum(COMEDIAN_ADJUST * np.median(Y * Y, axis=0)))
-    numerator = math.pi / (2.0 * n) * trace_S
-    center, eta, nu = _shrink_toward_common(mu, numerator)
-    return LocationEstimate(center=center, method="shrink_ccm", eta=eta, nu_mu=nu)
-
-
 def shrink_ccm(data) -> LocationEstimate:
     """Shrink the component-wise median toward an equal-coordinate vector.
 
@@ -141,19 +134,24 @@ def shrink_ccm(data) -> LocationEstimate:
     to the target nu * ones.
     """
     X = as_data_matrix(data)
-    return _shrink_ccm_at(X, np.median(X, axis=0))
-
-
-def _shrink_mm_at(X: np.ndarray, mu: np.ndarray) -> LocationEstimate:
-    # Shrink an already computed spatial median mu of the rows of X.
-    # At p = 1 the target is mu itself, so the intensity is pinned at 1 and
-    # the sandwich, degenerate there, is not needed.
-    numerator = sandwich_trace(X, mu) if X.shape[1] > 1 else 0.0
+    n = X.shape[0]
+    if n < 2:
+        raise ValueError("need at least two observations")
+    mu = np.median(X, axis=0)
+    # The trace of the adjusted comedian at mu, without building the p x p matrix.
+    Y = X - mu
+    trace_S = float(np.sum(COMEDIAN_ADJUST * np.median(Y * Y, axis=0)))
+    numerator = math.pi / (2.0 * n) * trace_S
     center, eta, nu = _shrink_toward_common(mu, numerator)
-    return LocationEstimate(center=center, method="shrink_mm", eta=eta, nu_mu=nu)
+    return LocationEstimate(center=center, median=mu, method="shrink_ccm", eta=eta, nu_mu=nu)
 
 
 def shrink_mm(data) -> LocationEstimate:
     """Shrink the spatial median toward an equal-coordinate vector."""
     X = as_data_matrix(data)
-    return _shrink_mm_at(X, l1_median(X).center)
+    mu = l1_median(X).center
+    # At p = 1 the target is mu itself, so the intensity is pinned at 1 and
+    # the sandwich, degenerate there, is not needed.
+    numerator = sandwich_trace(X, mu) if X.shape[1] > 1 else 0.0
+    center, eta, nu = _shrink_toward_common(mu, numerator)
+    return LocationEstimate(center=center, median=mu, method="shrink_mm", eta=eta, nu_mu=nu)

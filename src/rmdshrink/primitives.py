@@ -78,7 +78,11 @@ def chi2_quantile(dof: int, prob: float) -> float:
 
 @dataclass(frozen=True)
 class PDMatrix:
-    """Symmetric positive-definite matrix with its eigen-decomposition, eigenvalues ascending."""
+    """Symmetric positive-definite matrix with its eigen-decomposition, eigenvalues ascending.
+
+    The three arrays are read-only and not shared with the caller, so the
+    cached decomposition always matches ``entries``.
+    """
 
     entries: np.ndarray
     eigenvalues: np.ndarray
@@ -86,7 +90,7 @@ class PDMatrix:
 
     @classmethod
     def from_symmetric(cls, entries) -> "PDMatrix":
-        m = np.asarray(entries, dtype=float)
+        m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise ValueError("expected a nonempty square matrix")
         if not np.isfinite(m).all():
@@ -98,6 +102,8 @@ class PDMatrix:
         lam, V = np.linalg.eigh(m)
         if lam[0] <= _EIGEN_RTOL * lam[-1]:
             raise ValueError("matrix is not positive definite")
+        for arr in (m, lam, V):
+            arr.flags.writeable = False
         return cls(entries=m, eigenvalues=lam, eigenvectors=V)
 
     @property

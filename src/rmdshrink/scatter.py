@@ -6,23 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .location import (
-    LocationEstimate,
-    _intensity,
-    _shrink_ccm_at,
-    _shrink_mm_at,
-    ccm_median,
-    l1_median,
-    shrink_ccm,
-    shrink_mm,
-)
+from .location import LocationEstimate, _intensity, ccm_median, l1_median, shrink_ccm, shrink_mm
 from .primitives import PDMatrix, adjusted_comedian, as_data_matrix
 
 _DISPERSION_FLOOR = 1e-12
 
 # Variant id -> (reported location method, comedian centering method).
-# The scatter is always the shrunk adjusted comedian; the centering vector
-# is produced by the named location estimator.
+# The scatter is always the shrunk adjusted comedian. The one location call
+# is the reported method; the comedian is centered at its center when the two
+# methods agree, else at the raw median it was shrunk from (v2, v5).
 VARIANTS: dict[str, tuple[str, str]] = {
     "v1": ("ccm", "ccm"),
     "v2": ("shrink_ccm", "ccm"),
@@ -38,9 +30,6 @@ _LOCATION_FNS = {
     "shrink_ccm": shrink_ccm,
     "shrink_mm": shrink_mm,
 }
-
-# Raw median -> shrink of that median, given the rows and the median.
-_SHRINK_AT = {"ccm": _shrink_ccm_at, "mm": _shrink_mm_at}
 
 
 @dataclass(frozen=True)
@@ -92,8 +81,5 @@ def scatter_for_variant(data, variant: str) -> tuple[LocationEstimate, ScatterEs
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}") from None
 
-    base = _LOCATION_FNS[center_method](X)
-    # The reported center is the centering estimate itself, or the shrink of
-    # the raw median the comedian is centered at, so each median is computed once.
-    loc = base if loc_method == center_method else _SHRINK_AT[center_method](X, base.center)
-    return loc, shrink_scatter(X, base.center)
+    loc = _LOCATION_FNS[loc_method](X)
+    return loc, shrink_scatter(X, loc.center if loc_method == center_method else loc.median)

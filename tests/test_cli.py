@@ -5,6 +5,9 @@ import json
 import os
 import re
 import shlex
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +174,25 @@ class TestDetect:
         assert main(["detect", "--input", str(data), "--output", str(out)]) == 1
         assert f"non-numeric cell {cell!r} at row 2, column 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("existing_mode", [None, 0o640], ids=["new", "existing_0640"])
+    def test_output_has_the_permissions_of_a_plain_write(self, tmp_path, existing_mode):
+        data = tmp_path / "data.csv"
+        write_planted_csv(data)
+        out = tmp_path / "report.json"
+        plain = tmp_path / "plain.txt"
+        if existing_mode is not None:
+            for path in (out, plain):
+                path.touch()
+                path.chmod(existing_mode)
+        umask = os.umask(0o022)
+        try:
+            assert main(["detect", "--input", str(data), "--output", str(out)]) == 0
+            with open(plain, "w"):
+                pass
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
     def test_failed_run_leaves_no_output(self, tmp_path):
         data = tmp_path / "bad.csv"
@@ -440,3 +462,15 @@ class TestReadme:
         assert ["simulate", "--seed"] in [argv[1:3] for argv in commands]
         for argv in commands:
             build_parser().parse_args(argv[1:])
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # Importing the package and its CLI loads scipy.special only: the
+    # benchmark's setup time and peak RSS include this import.
+    heavy = ("scipy.linalg", "scipy.stats", "scipy.optimize", "scipy.sparse")
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import rmdshrink, rmdshrink.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

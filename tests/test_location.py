@@ -309,3 +309,23 @@ class TestShrinkMm:
         small = rng.standard_normal((50, 3)) + loc
         large = rng.standard_normal((5000, 3)) + loc
         assert shrink_mm(small).eta > shrink_mm(large).eta
+
+
+# Each location function -> the raw median its estimate is shrunk from.
+RAW_MEDIANS = {
+    ccm_median: lambda X: np.median(X, axis=0),
+    l1_median: lambda X: l1_median(X).center,
+    shrink_ccm: lambda X: np.median(X, axis=0),
+    shrink_mm: lambda X: l1_median(X).center,
+}
+
+
+@pytest.mark.parametrize("fn", list(RAW_MEDIANS), ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("seed", range(3))
+def test_median_is_the_raw_median_bit_for_bit(fn, seed):
+    rng = np.random.default_rng(seed + 400)
+    X = rng.standard_t(df=3, size=(40, 4)) + np.array([0.0, 2.0, 4.0, 6.0])
+    est = fn(X)
+    assert np.array_equal(est.median, RAW_MEDIANS[fn](X))
+    if est.eta is None:
+        assert est.median is est.center

@@ -217,6 +217,20 @@ class TestPDMatrix:
         with pytest.raises(ValueError):
             PDMatrix.from_symmetric(m)
 
+    @pytest.mark.parametrize("field", ["entries", "eigenvalues", "eigenvectors"])
+    def test_arrays_are_read_only(self, field):
+        m = PDMatrix.from_symmetric(np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(m, field)[0] = 4.0
+
+    def test_input_is_copied(self):
+        a = np.eye(2)
+        m = PDMatrix.from_symmetric(a)
+        a[0, 0] = 4.0
+        assert a.flags.writeable
+        assert np.array_equal(m.entries, np.eye(2))
+        assert quad_form(m, [1.0, 0.0]) == 1.0
+
     @pytest.mark.parametrize("seed", range(10))
     def test_factorization_residual_small(self, seed):
         rng = np.random.default_rng(seed)

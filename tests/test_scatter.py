@@ -5,7 +5,7 @@ positive definiteness, and the grid-search optimality oracle.
 import numpy as np
 import pytest
 
-from rmdshrink.location import ccm_median, shrink_mm
+from rmdshrink.location import ccm_median, l1_median, shrink_ccm, shrink_mm
 from rmdshrink.primitives import PDMatrix, adjusted_comedian
 from rmdshrink.scatter import VARIANTS, scatter_for_variant, shrink_scatter
 
@@ -179,6 +179,26 @@ class TestScatterForVariant:
         want = shrink_scatter(X, mm.center)
         assert np.allclose(loc.center, mm.center, atol=1e-14)
         assert np.array_equal(scat.matrix.entries, want.matrix.entries)
+
+    # The comedian centering of each variant, as in the README table.
+    @pytest.mark.parametrize(
+        "variant, centering",
+        [
+            ("v1", ccm_median),
+            ("v2", ccm_median),
+            ("v3", shrink_ccm),
+            ("v4", l1_median),
+            ("v5", l1_median),
+            ("v6", shrink_mm),
+        ],
+    )
+    def test_scatter_is_shrunk_at_the_tabled_center(self, variant, centering):
+        rng = np.random.default_rng(60)
+        X = rng.standard_normal((30, 3)) + np.array([0.0, 2.0, 4.0])
+        _, scat = scatter_for_variant(X, variant)
+        want = shrink_scatter(X, centering(X).center)
+        assert np.array_equal(scat.matrix.entries, want.matrix.entries)
+        assert scat.eta == want.eta
 
     def test_v1_and_v2_share_scatter_content(self):
         rng = np.random.default_rng(57)
