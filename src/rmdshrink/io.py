@@ -118,9 +118,6 @@ def _scenario_from_mapping(obj, index: int) -> ScenarioSpec:
     if missing:
         raise ValueError(f"scenario {index}: missing keys {sorted(missing)}")
     fields = {_SCENARIO_KEYS[key]: value for key, value in obj.items()}
-    for key in ("p", "n", "reps", "seed"):
-        if type(obj[key]) is not int:
-            raise ValueError(f"scenario {index}: {key} must be an integer, got {obj[key]!r}")
     for key in ("alpha", "delta", "lambda"):
         # NaN fails the comparison; an int past the float range would overflow float().
         if type(obj[key]) not in (int, float) or not abs(obj[key]) <= sys.float_info.max:

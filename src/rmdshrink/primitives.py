@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +48,34 @@ def comedian(data, center) -> np.ndarray:
     """
     X = as_data_matrix(data)
     c = _as_vector(center, X.shape[1], "center")
+    n, p = X.shape
     # Rows [a, b) of the upper triangle come from one product block of about
-    # _BLOCK_FLOATS entries, then are mirrored, so memory stays O(n*p + p*p)
-    # and each entry is the median of the same sequence as the full product.
-    Yt = np.ascontiguousarray((X - c).T)
-    p, n = Yt.shape
+    # _BLOCK_FLOATS entries, written into one buffer reused by every block,
+    # then are mirrored, so memory stays O(n*p + p*p) and each entry is the
+    # median of the same sequence as the full product.
+    Yt = np.empty((p, n))
+    np.subtract(X.T, c[:, None], out=Yt)
+    # A block is one row of n*(p - a) floats or fits in _BLOCK_FLOATS.
+    buf = np.empty(min(n * p * p, max(_BLOCK_FLOATS, n * p)))
+    # Each entry is one in-place selection at h = n // 2; for even n the lower
+    # middle is the max of the lower half. np.median selects at h - 1, h and
+    # -1 (a NaN check) on a copy, and a two-kth partition at (h - 1, h) is
+    # not much faster: at p100/n2000 on one Xeon core the comedian took about
+    # 210 ms through np.median, 200 ms with two kth and 50 ms with one kth and
+    # a max. The `0.0 +` is np.mean's zero-started sum, so the result, signed
+    # zeros included, is still the median bit for bit.
+    h = n // 2
     S = np.empty((p, p))
     a = 0
     while a < p:
         b = min(p, a + max(1, _BLOCK_FLOATS // (n * (p - a))))
-        S[a:b, a:] = np.median(Yt[a:b, None, :] * Yt[None, a:, :], axis=-1)
+        P = buf[: (b - a) * (p - a) * n].reshape(b - a, p - a, n)
+        np.multiply(Yt[a:b, None, :], Yt[None, a:, :], out=P)
+        P.partition(h, axis=-1)
+        if n % 2:
+            S[a:b, a:] = 0.0 + P[..., h]
+        else:
+            S[a:b, a:] = (0.0 + P[..., :h].max(axis=-1) + P[..., h]) / 2
         S[a:, a:b] = S[a:b, a:].T
         a = b
     return S
@@ -69,7 +88,8 @@ def adjusted_comedian(data, center) -> np.ndarray:
 
 def chi2_quantile(dof: int, prob: float) -> float:
     """Chi-squared quantile through the inverse regularized incomplete gamma."""
-    if int(dof) != dof or dof < 1:
+    # Not a bool, and finite before int(): int(nan) and int(inf) raise.
+    if isinstance(dof, (bool, np.bool_)) or not 1 <= dof < math.inf or int(dof) != dof:
         raise ValueError("dof must be a positive integer")
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie strictly inside (0, 1)")

@@ -52,6 +52,12 @@ class ScenarioSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        # Exactly int, so True is refused too: a float or bool here would
+        # escape generate or default_rng as a TypeError.
+        for key in ("p", "n", "reps", "seed"):
+            value = getattr(self, key)
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.p < 1 or self.n < 1:
             raise ValueError("p and n must be positive")
         if self.family == "CorrelatedNormal" and self.p != 6:

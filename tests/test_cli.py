@@ -266,6 +266,11 @@ class TestSimulate:
         assert f"scenario 0: {key} must be" in err
         assert "Traceback" not in err
 
+    def test_non_integer_config_count_names_scenario_and_value(self, tmp_path, capsys):
+        code, err = simulate_with_literal(tmp_path, capsys, "p", "2.5")
+        assert code == 1
+        assert err == "error: scenario 0: p must be an integer, got 2.5\n"
+
     @pytest.mark.parametrize("key,literal", [
         ("variant", '["v1"]'),
         ("variant", "6"),

@@ -54,6 +54,19 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             spec_for(**bad)
 
+    @pytest.mark.parametrize("key,value", [
+        ("p", 2.0),
+        ("p", True),
+        ("n", 40.0),
+        ("reps", False),
+        ("seed", 1.5),
+        ("seed", None),
+    ])
+    def test_non_integer_count_or_seed_is_refused(self, key, value):
+        with pytest.raises(ValueError) as info:
+            spec_for(**{key: value})
+        assert str(info.value) == f"{key} must be an integer, got {value!r}"
+
     @given(st.integers(min_value=1, max_value=500),
            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45, 0.5]))
     @settings(max_examples=60, deadline=None)
