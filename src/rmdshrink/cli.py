@@ -140,9 +140,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -102,14 +102,18 @@ def sandwich_trace(data, center) -> float:
     if m == 0:
         raise ValueError("degenerate direction distribution")
     r = norms[keep]
-    U = Y[keep] / r[:, None]
+    U = Y[keep]
+    del Y
+    U /= r[:, None]
     # A's eigenvalues lie in [0, s]; at p = 1 A is zero up to rounding.
     s = float(np.sum(1.0 / r)) / m
     lam, V = np.linalg.eigh(s * np.eye(p) - ((U / r[:, None]).T @ U) / m)
     if lam[0] <= 1e-12 * s:
         raise ValueError("degenerate direction distribution")
-    W = (U @ V) / lam
-    return float(np.sum(W * W)) / (m * n)
+    W = U @ V
+    W /= lam
+    W *= W
+    return float(np.sum(W)) / (m * n)
 
 
 def _intensity(proxy: float, distance2: float) -> float:
@@ -138,9 +142,10 @@ def shrink_ccm(data) -> LocationEstimate:
     if n < 2:
         raise ValueError("need at least two observations")
     mu = np.median(X, axis=0)
-    # The trace of the adjusted comedian at mu, without building the p x p matrix.
+    # The adjusted comedian's trace at mu from one n x p temporary, not the p x p matrix.
     Y = X - mu
-    trace_S = float(np.sum(COMEDIAN_ADJUST * np.median(Y * Y, axis=0)))
+    Y *= Y
+    trace_S = float(np.sum(COMEDIAN_ADJUST * np.median(Y, axis=0, overwrite_input=True)))
     numerator = math.pi / (2.0 * n) * trace_S
     center, eta, nu = _shrink_toward_common(mu, numerator)
     return LocationEstimate(center=center, median=mu, method="shrink_ccm", eta=eta, nu_mu=nu)

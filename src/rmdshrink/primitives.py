@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +88,10 @@ def adjusted_comedian(data, center) -> np.ndarray:
 
 def chi2_quantile(dof: int, prob: float) -> float:
     """Chi-squared quantile through the inverse regularized incomplete gamma."""
-    # Not a bool, and finite before int(): int(nan) and int(inf) raise.
-    if isinstance(dof, (bool, np.bool_)) or not 1 <= dof < math.inf or int(dof) != dof:
+    # Not a bool, and in the float range: int() raises on nan and inf, and
+    # dof / 2.0 overflows on an int past the range.
+    bad = isinstance(dof, (bool, np.bool_)) or not 1 <= dof <= sys.float_info.max
+    if bad or int(dof) != dof:
         raise ValueError("dof must be a positive integer")
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie strictly inside (0, 1)")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -62,6 +63,14 @@ class ScenarioSpec:
             raise ValueError("p and n must be positive")
         if self.family == "CorrelatedNormal" and self.p != 6:
             raise ValueError("CorrelatedNormal requires p = 6")
+        # Stored as float, so a JSON 10 and 10.0 give one spec. NaN fails the
+        # comparison; an int past the float range would overflow float().
+        for key, name in (("alpha", "alpha"), ("delta", "delta"), ("lambda", "lam")):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 <= self.alpha <= 0.5:
             raise ValueError("alpha must lie in [0, 0.5]")
         if self.delta < 0.0:
@@ -216,36 +225,25 @@ def metrics(flags, truth) -> tuple[float, float, float]:
 
 def run_scenario(spec: ScenarioSpec) -> MetricsReport:
     """Average metrics over seeded replicates (replicate r uses seed + r)."""
-    cs: list[float] = []
-    fs: list[float] = []
-    fscores: list[float] = []
-    seconds: list[float] = []
+    records = []
     for r in range(spec.reps):
-        rng = np.random.default_rng(spec.seed + r)
-        X, truth = generate(spec, rng)
-        t_detect = time.perf_counter()
+        seed = spec.seed + r
         try:
+            X, truth = generate(spec, np.random.default_rng(seed))
+            t_detect = time.perf_counter()
             report = detect(X, spec.variant, DEFAULT_QUANTILE)
+            seconds = time.perf_counter() - t_detect
         except ValueError as exc:
-            raise ValueError(
-                f"replicate {r} (seed {spec.seed + r}) of "
-                f"{spec.family} p={spec.p} n={spec.n} alpha={spec.alpha:g} "
-                f"delta={spec.delta:g} lambda={spec.lam:g} "
-                f"variant={spec.variant}: {exc}"
-            ) from exc
-        seconds.append(time.perf_counter() - t_detect)
-        c, f, fscore = metrics(report.flags, truth)
-        cs.append(c)
-        fs.append(f)
-        fscores.append(fscore)
+            raise ValueError(f"replicate {r} (seed {seed}): {exc}") from exc
+        records.append((*metrics(report.flags, truth), seconds))
+    cs, fs, fscores, detect_seconds = zip(*records)
     return MetricsReport(
         spec=spec,
         c_mean=float(np.mean(cs)),
         f_mean=float(np.mean(fs)),
         fscore_mean=float(np.mean(fscores)),
-        c_reps=tuple(cs),
-        f_reps=tuple(fs),
-        fscore_reps=tuple(fscores),
-        detect_seconds=tuple(seconds),
+        c_reps=cs,
+        f_reps=fs,
+        fscore_reps=fscores,
+        detect_seconds=detect_seconds,
     )
-

@@ -362,7 +362,9 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--output", str(out)])
         assert code == 1
         refused_id = scenario_id(parse_scenarios(json.dumps(configs[1]))[0])
-        assert f"ABORTED {refused_id}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"ABORTED {refused_id}: replicate 0 (seed 11): " in err
+        assert err.count("NormalMixture") == 1
         rows = read_rows(out)
         assert [(r["variant"], r["seed"]) for r in rows] == [("v1", "11"), ("v4", "12")]
 

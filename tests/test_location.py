@@ -1,6 +1,7 @@
 """Location estimators checked against brute-force and grid-search oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -206,6 +207,21 @@ class TestSandwichTrace:
         with pytest.raises(ValueError, match="degenerate direction"):
             sandwich_trace(X, np.array([1.0, 2.0]))
 
+    def test_traced_peak_is_two_copies_of_the_data(self):
+        # at p100/n2000 one n x p array is 1.5 MiB; the centred rows, their
+        # unit directions, U / r and U V once took 6.3 MiB together
+        X = np.random.default_rng(5).standard_normal((2000, 100))
+        assert traced_peak(sandwich_trace, X, np.median(X, axis=0)) <= 3.5 * 2**20
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def grid_argmin_eta(numerator, denom, points=10_001):
     # minimize (1-eta)^2 * N + eta^2 * (D - N) over a uniform grid
@@ -215,6 +231,12 @@ def grid_argmin_eta(numerator, denom, points=10_001):
 
 
 class TestShrinkCcm:
+    def test_traced_peak_is_one_copy_of_the_data(self):
+        # at p100/n2000 one n x p array is 1.5 MiB; X - mu, its square and
+        # the median's copy of that once took 4.6 MiB together
+        X = np.random.default_rng(5).standard_normal((2000, 100))
+        assert traced_peak(shrink_ccm, X) <= 2 * 2**20
+
     def test_already_on_target_pins_intensity(self):
         # all coordinates share one median, so the target equals the raw
         # estimate and the intensity convention is 1

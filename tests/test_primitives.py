@@ -184,7 +184,8 @@ class TestChi2Quantile:
         with pytest.raises(ValueError):
             chi2_quantile(0, 0.5)
 
-    @pytest.mark.parametrize("dof", [True, np.True_, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dof", [True, np.True_, math.nan, math.inf, -math.inf,
+                                     pytest.param(10**400, id="10**400")])
     def test_rejects_bool_and_non_finite_dof(self, dof):
         with pytest.raises(ValueError, match="dof must be a positive integer"):
             chi2_quantile(dof, 0.5)

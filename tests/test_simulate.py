@@ -1,10 +1,14 @@
 """Scenario generators, metrics, and the replication harness."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rmdshrink.simulate as simulate
 from rmdshrink.io import scenario_row
 from rmdshrink.simulate import (
     FAMILIES,
@@ -66,6 +70,20 @@ class TestScenarioSpec:
         with pytest.raises(ValueError) as info:
             spec_for(**{key: value})
         assert str(info.value) == f"{key} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.1",
+                                       pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("key,field",
+                             [("alpha", "alpha"), ("delta", "delta"), ("lambda", "lam")])
+    def test_non_finite_or_non_number_rate_is_refused(self, key, field, value):
+        with pytest.raises(ValueError) as info:
+            spec_for(**{field: value})
+        assert str(info.value) == f"{key} must be a finite number, got {value!r}"
+
+    def test_rates_are_stored_as_floats(self):
+        spec = spec_for(alpha=0, delta=10, lam=np.float64(2.0))
+        assert [type(v) for v in (spec.alpha, spec.delta, spec.lam)] == [float, float, float]
+        assert spec == spec_for(alpha=0.0, delta=10.0, lam=2.0)
 
     @given(st.integers(min_value=1, max_value=500),
            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45, 0.5]))
@@ -265,8 +283,9 @@ class TestRunScenario:
         # replicate fails and the abort message names the replicate
         spec = spec_for("NormalMixture", p=3, n=1, alpha=0.0, delta=0.0,
                         reps=1, seed=0)
-        with pytest.raises(ValueError, match="replicate 0"):
+        with pytest.raises(ValueError, match=r"^replicate 0 \(seed 0\): ") as info:
             run_scenario(spec)
+        assert "NormalMixture" not in str(info.value)
 
 
 class TestBench:
@@ -279,3 +298,18 @@ class TestBench:
         row = scenario_row("bench", report)
         assert row["reps"] == spec.reps and row["variant"] == "v6"
         assert row["median_seconds"] == float(np.median(seconds)) > 0.0
+
+    def test_detect_seconds_exclude_metrics(self, monkeypatch):
+        # A fake clock that only metrics advances: detect's time stays 0.
+        clock = SimpleNamespace(now=0.0)
+        real_metrics = simulate.metrics
+
+        def slow_metrics(flags, truth):
+            clock.now += 100.0
+            return real_metrics(flags, truth)
+
+        monkeypatch.setattr(simulate, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+        monkeypatch.setattr(simulate, "metrics", slow_metrics)
+        report = run_scenario(spec_for("NormalMixture", p=3, n=40, reps=3))
+        assert report.detect_seconds == (0.0, 0.0, 0.0)
+        assert clock.now == 300.0
