@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -15,7 +17,8 @@ COMEDIAN_ADJUST = 2.198
 # Positive definite means: smallest eigenvalue > _EIGEN_RTOL * largest.
 _EIGEN_RTOL = 1e-12
 
-# Floats per product block in `comedian`: larger blocks fall out of cache.
+# Floats of products held at once in `comedian`, over all its workers:
+# larger blocks fall out of cache.
 _BLOCK_FLOATS = 2**18
 
 
@@ -39,6 +42,75 @@ def _as_vector(v, p: int, name: str) -> np.ndarray:
     return arr
 
 
+# Threads that fill the comedian, the calling thread included: one per core
+# this process may run on.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no CPU affinity on this OS
+    _WORKERS = os.cpu_count() or 1
+
+
+@cache
+def _pool(helpers: int):
+    """The comedian's helper threads, made on first use and kept for the process."""
+    # Imported here: concurrent.futures imports logging, about 10 ms that a
+    # caller who never reaches the threaded size need not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="rmdshrink-comedian")
+
+
+# A forked child has none of its parent's threads, so it makes its own pool;
+# helpers queued on the parent's would hold their arrays for good.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _tiles(n: int, p: int, cap: int) -> list[tuple[int, int, int, int]]:
+    """Tiles (a, b, t0, t1) covering the upper triangle: rows [a, b) x columns [t0, t1).
+
+    A tile's n products per entry fit in ``cap`` floats: several whole rows
+    of the triangle, or, when one row does not fit, part of one row.
+    """
+    tiles = []
+    a = 0
+    while a < p:
+        if n * (p - a) <= cap:
+            b = min(p, a + cap // (n * (p - a)))
+            tiles.append((a, b, a, p))
+        else:
+            b = a + 1
+            width = cap // n
+            tiles.extend((a, b, t, min(p, t + width)) for t in range(a, p, width))
+        a = b
+    return tiles
+
+
+def _fill(S: np.ndarray, Yt: np.ndarray, tiles, size: int) -> None:
+    """Fill S's entries for the tiles taken from ``tiles``, and their mirrors, in one buffer."""
+    n = Yt.shape[1]
+    # Each entry is one in-place selection at h = n // 2; for even n the lower
+    # middle is the max of the lower half. np.median selects at h - 1, h and
+    # -1 (a NaN check) on a copy, and a two-kth partition at (h - 1, h) is
+    # not much faster: at p100/n2000 on one Xeon core the comedian took about
+    # 210 ms through np.median, 200 ms with two kth and 50 ms with one kth and
+    # a max. The `0.0 +` is np.mean's zero-started sum, so the result, signed
+    # zeros included, is still the median bit for bit, whoever fills a tile.
+    h = n // 2
+    buf = np.empty(size)
+    # `tiles` is an iterator over a list, shared with the other workers;
+    # next() on it is one C call under the GIL, so each tile is taken once.
+    for a, b, t0, t1 in tiles:
+        P = buf[: (b - a) * (t1 - t0) * n].reshape(b - a, t1 - t0, n)
+        np.multiply(Yt[a:b, None, :], Yt[None, t0:t1, :], out=P)
+        P.partition(h, axis=-1)
+        if n % 2:
+            S[a:b, t0:t1] = 0.0 + P[..., h]
+        else:
+            S[a:b, t0:t1] = (0.0 + P[..., :h].max(axis=-1) + P[..., h]) / 2
+        S[t0:t1, a:b] = S[a:b, t0:t1].T
+
+
 def comedian(data, center) -> np.ndarray:
     """Entrywise median of cross products of centered columns.
 
@@ -49,35 +121,35 @@ def comedian(data, center) -> np.ndarray:
     X = as_data_matrix(data)
     c = _as_vector(center, X.shape[1], "center")
     n, p = X.shape
-    # Rows [a, b) of the upper triangle come from one product block of about
-    # _BLOCK_FLOATS entries, written into one buffer reused by every block,
-    # then are mirrored, so memory stays O(n*p + p*p) and each entry is the
-    # median of the same sequence as the full product.
+    # The upper triangle is cut into tiles whose products fit one worker's
+    # buffer; each worker reuses its own buffer for every tile it takes, so
+    # the buffers together hold about _BLOCK_FLOATS floats and memory stays
+    # O(n*p + p*p). A tile's entries are written, then mirrored: the mirrors
+    # of different tiles are disjoint, so no two workers write one entry.
+    # Each entry is the median of the same sequence as the full product.
     Yt = np.empty((p, n))
     np.subtract(X.T, c[:, None], out=Yt)
-    # A block is one row of n*(p - a) floats or fits in _BLOCK_FLOATS.
-    buf = np.empty(min(n * p * p, max(_BLOCK_FLOATS, n * p)))
-    # Each entry is one in-place selection at h = n // 2; for even n the lower
-    # middle is the max of the lower half. np.median selects at h - 1, h and
-    # -1 (a NaN check) on a copy, and a two-kth partition at (h - 1, h) is
-    # not much faster: at p100/n2000 on one Xeon core the comedian took about
-    # 210 ms through np.median, 200 ms with two kth and 50 ms with one kth and
-    # a max. The `0.0 +` is np.mean's zero-started sum, so the result, signed
-    # zeros included, is still the median bit for bit.
-    h = n // 2
     S = np.empty((p, p))
-    a = 0
-    while a < p:
-        b = min(p, a + max(1, _BLOCK_FLOATS // (n * (p - a))))
-        P = buf[: (b - a) * (p - a) * n].reshape(b - a, p - a, n)
-        np.multiply(Yt[a:b, None, :], Yt[None, a:, :], out=P)
-        P.partition(h, axis=-1)
-        if n % 2:
-            S[a:b, a:] = 0.0 + P[..., h]
-        else:
-            S[a:b, a:] = (0.0 + P[..., :h].max(axis=-1) + P[..., h]) / 2
-        S[a:, a:b] = S[a:b, a:].T
-        a = b
+    workers = _WORKERS
+    cap = max(n, _BLOCK_FLOATS // workers)
+    tiles = iter(_tiles(n, p, cap))
+    size = min(n * p * p, cap)
+    helpers = []
+    # Threads start at about four tiles per worker. Below that they saved
+    # nothing on 2 vCPUs: p30/n500 took 0.9-1.0 ms either way, and p5/n2000
+    # 0.14 ms alone against 0.5 ms with a helper.
+    if workers > 1 and n * p * p >= 4 * workers * cap:
+        pool = _pool(workers - 1)
+        helpers = [pool.submit(_fill, S, Yt, tiles, size) for _ in range(workers - 1)]
+    try:
+        _fill(S, Yt, tiles, size)
+    finally:
+        # The caller has taken the last tile. A helper still queued has none
+        # left and may sit behind another call's helpers: cancel it, and wait
+        # only for the helpers that are running.
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
     return S
 
 

@@ -382,7 +382,7 @@ class TestConfigs:
         "heavy_tails.json": 18,
         "breakdown.json": 20,
         "transformed.json": 39,
-        "timing.json": 18,
+        "timing.json": 24,
     }
 
     def test_every_config_parses_with_its_scenario_count(self):

@@ -3,7 +3,12 @@ independent in-test oracles (closed forms, bisection, explicit inverses).
 """
 
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
+from rmdshrink import primitives
 from rmdshrink.primitives import (
     COMEDIAN_ADJUST,
     PDMatrix,
@@ -26,6 +32,84 @@ from rmdshrink.primitives import (
 def random_pd(rng, p):
     g = rng.standard_normal((p, p))
     return g @ g.T + 0.1 * np.eye(p)
+
+
+# How the comedian's tiles are filled, as (workers, block floats): the caller
+# alone; the caller and one helper at the real tile size; and the caller and
+# one helper with one column per tile, so that every shape with p >= 3 is
+# cut into enough tiles to start the helper.
+TILINGS = {"serial": (1, None), "two-workers": (2, None), "one-column-tiles": (2, 2)}
+
+
+@contextmanager
+def tiling(name):
+    """Run the comedian under a tiling of TILINGS; yields the list of pools it asks for."""
+    workers, block_floats = TILINGS[name]
+    make_pool = primitives._pool
+    pools = []
+
+    def pool(helpers):
+        pools.append(helpers)
+        return make_pool(helpers)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primitives, "_WORKERS", workers)
+        if block_floats is not None:
+            mp.setattr(primitives, "_BLOCK_FLOATS", block_floats)
+        mp.setattr(primitives, "_pool", pool)
+        yield pools
+
+
+# (n, p): one block (n*p*p <= 2**18), several blocks, one row per block at
+# the start (n*p > 2**18, split into columns with two workers), p = 1, n = 1,
+# odd and even n.
+COMEDIAN_SHAPES = [
+    (100, 5), (101, 6), (100, 10), (500, 30), (2000, 100), (7000, 40),
+    (9, 1), (1, 7), (1, 1), (2, 3),
+]
+
+
+def tied_sample(n, p):
+    """A normal sample with ties and a constant column, its centre and its broadcast comedian."""
+    rng = np.random.default_rng(n * 1000 + p)
+    X = rng.standard_normal((n, p))
+    # ties and a constant column put signed zeros among the products
+    X[: n // 2, p // 2] = np.round(X[: n // 2, p // 2])
+    if p > 2:
+        X[:, -1] = 1.5
+    center = np.median(X, axis=0)
+    Y = X - center
+    # the median over rows of the full n x p x p product, a few columns at a
+    # time so the reference itself stays small
+    want = np.empty((p, p))
+    for t in range(0, p, 10):
+        want[:, t:t + 10] = np.median(Y[:, :, None] * Y[:, None, t:t + 10], axis=0)
+    return X, center, want
+
+
+def drawn_tied_sample(data, n, p):
+    """An n x p sample and centre drawn from a few values, and its broadcast comedian."""
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+    X = np.array(data.draw(st.lists(values, min_size=n * p, max_size=n * p))).reshape(n, p)
+    center = np.array(data.draw(st.lists(values, min_size=p, max_size=p)))
+    Y = X - center
+    return X, center, np.median(Y[:, :, None] * Y[:, None, :], axis=0)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def wide_sample(seed=5, n=2000, p=100):
+    X = np.random.default_rng(seed).standard_normal((n, p))
+    return X, np.median(X, axis=0)
+
+
+def comedian_into(conn, X, center):
+    """In a forked child: send how many pools it inherited, then its comedian."""
+    conn.send((primitives._pool.cache_info().currsize, comedian(X, center)))
+    conn.close()
 
 
 class TestComedian:
@@ -87,29 +171,20 @@ class TestComedian:
         assert abs(C[0, 0] - 1.0) < 0.05
         assert abs(C[1, 1] - 1.0) < 0.05
 
-    # (n, p): one block (n*p*p <= 2**18), several blocks, one row per block
-    # at the start (n*p > 2**18), p = 1, n = 1, odd and even n.
-    @pytest.mark.parametrize("n, p", [
-        (100, 5), (101, 6), (100, 10), (500, 30), (2000, 100), (7000, 40),
-        (9, 1), (1, 7), (1, 1), (2, 3),
-    ])
+    @pytest.mark.parametrize("n, p", COMEDIAN_SHAPES)
     def test_matches_broadcast_median_bit_for_bit(self, n, p):
-        rng = np.random.default_rng(n * 1000 + p)
-        X = rng.standard_normal((n, p))
-        # ties and a constant column put signed zeros among the products
-        X[: n // 2, p // 2] = np.round(X[: n // 2, p // 2])
-        if p > 2:
-            X[:, -1] = 1.5
-        center = np.median(X, axis=0)
-        Y = X - center
-        # the median over rows of the full n x p x p product, a few columns
-        # at a time so the reference itself stays small
-        want = np.empty((p, p))
-        for t in range(0, p, 10):
-            want[:, t:t + 10] = np.median(Y[:, :, None] * Y[:, None, t:t + 10], axis=0)
-        got = comedian(X, center)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        X, center, want = tied_sample(n, p)
+        assert_same_bits(comedian(X, center), want)
+
+    @pytest.mark.parametrize("mode", TILINGS)
+    @pytest.mark.parametrize("n, p", COMEDIAN_SHAPES)
+    def test_every_tiling_matches_broadcast_median_bit_for_bit(self, n, p, mode):
+        X, center, want = tied_sample(n, p)
+        with tiling(mode) as pools:
+            assert_same_bits(comedian(X, center), want)
+        threaded = {"serial": False, "two-workers": (n, p) in {(2000, 100), (7000, 40)},
+                    "one-column-tiles": p >= 3}[mode]
+        assert bool(pools) == threaded
 
     # n = 2k - odd, so 1..39 odd and 2..40 even. Entries and centre come from
     # a few values, so the middle pair often ties and holds zeros of either sign.
@@ -118,19 +193,22 @@ class TestComedian:
            data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_broadcast_median_on_ties_and_signed_zeros(self, odd, k, p, data):
-        n = 2 * k - odd
-        values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
-        X = np.array(data.draw(st.lists(values, min_size=n * p, max_size=n * p))).reshape(n, p)
-        center = np.array(data.draw(st.lists(values, min_size=p, max_size=p)))
-        Y = X - center
-        want = np.median(Y[:, :, None] * Y[:, None, :], axis=0)
-        got = comedian(X, center)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        X, center, want = drawn_tied_sample(data, 2 * k - odd, p)
+        assert_same_bits(comedian(X, center), want)
+
+    @pytest.mark.parametrize("odd", [0, 1])
+    @given(k=st.integers(min_value=1, max_value=20), p=st.integers(min_value=1, max_value=6),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_column_tiles_match_broadcast_median_on_ties_and_signed_zeros(self, odd, k, p, data):
+        X, center, want = drawn_tied_sample(data, 2 * k - odd, p)
+        with tiling("one-column-tiles") as pools:
+            assert_same_bits(comedian(X, center), want)
+        assert bool(pools) == (p >= 3)
 
     def test_traced_peak_is_bounded_in_n_times_p(self):
         # the n x p x p product alone is 152.6 MiB at p100/n2000; Y' and the
-        # one reused block buffer take 3.6 MiB
+        # workers' buffers, 2**18 floats together, take 3.6 MiB
         rng = np.random.default_rng(5)
         X = rng.standard_normal((2000, 100))
         center = np.median(X, axis=0)
@@ -141,6 +219,108 @@ class TestComedian:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+    def test_traced_peak_with_two_workers_is_bounded(self, monkeypatch):
+        # each worker's buffer is half of the one buffer of a single worker
+        monkeypatch.setattr(primitives, "_WORKERS", 2)
+        X, center = wide_sample()
+        comedian(X, center)  # the helper threads are made once per process
+        tracemalloc.start()
+        try:
+            comedian(X, center)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    # simulate_grid's cells and boxplot_table's table
+    @pytest.mark.parametrize("workers", [2, 8, 32])
+    @pytest.mark.parametrize("n, p", [(100, 5), (100, 6), (100, 10), (500, 30), (2000, 5)])
+    def test_small_shapes_start_no_thread(self, monkeypatch, n, p, workers):
+        def refuse(helpers):
+            raise AssertionError(f"a pool of {helpers} helpers was asked for at n={n}, p={p}")
+
+        monkeypatch.setattr(primitives, "_WORKERS", workers)
+        monkeypatch.setattr(primitives, "_pool", refuse)
+        X, center = wide_sample(n=n, p=p)
+        comedian(X, center)
+
+    def test_returns_without_waiting_for_a_queued_helper(self, monkeypatch):
+        # The pool's one thread is busy, so the helper stays queued: the
+        # caller fills every tile itself and must not wait for it. A forked
+        # child, whose inherited pool has no threads, is the same case.
+        X, center = wide_sample()
+        with tiling("serial"):
+            want = comedian(X, center)
+        busy = ThreadPoolExecutor(max_workers=1)
+        release = threading.Event()
+        busy.submit(release.wait, 60)
+        monkeypatch.setattr(primitives, "_WORKERS", 2)
+        monkeypatch.setattr(primitives, "_pool", lambda helpers: busy)
+        got = []
+        caller = threading.Thread(target=lambda: got.append(comedian(X, center)), daemon=True)
+        try:
+            caller.start()
+            caller.join(20)
+            assert not caller.is_alive(), "comedian waited for a helper that never ran"
+        finally:
+            release.set()
+            caller.join(60)
+            busy.shutdown()
+        assert np.array_equal(got[0], want)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method on this platform")
+    def test_forked_child_after_threads_returns_the_parents_matrix(self, monkeypatch):
+        monkeypatch.setattr(primitives, "_WORKERS", 2)
+        X, center = wide_sample()
+        want = comedian(X, center)  # starts the helper thread in this process
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=comedian_into, args=(send, X, center))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(30), "the forked child did not finish within 30 s"
+            inherited_pools, got = recv.recv()
+        finally:
+            child.join(30)
+            if child.is_alive():
+                child.kill()
+                child.join(30)
+        # the parent's pool has no threads in the child, so the child makes its own
+        assert primitives._pool.cache_info().currsize > 0
+        assert inherited_pools == 0
+        assert_same_bits(got, want)
+
+    def test_concurrent_callers_each_get_their_serial_result(self, monkeypatch):
+        # three callers share a pool of two helpers: five threads on however
+        # many cores, each caller on its own input, switching often
+        inputs = [wide_sample(seed, n, p) for seed, n, p in
+                  [(1, 2000, 30), (2, 1501, 40), (3, 1000, 50)]]
+        with tiling("serial"):
+            wants = [comedian(X, center) for X, center in inputs]
+        monkeypatch.setattr(primitives, "_WORKERS", 3)
+        results = [[] for _ in inputs]
+
+        def call(k):
+            for _ in range(3):
+                results[k].append(comedian(*inputs[k]))
+
+        callers = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for want, got in zip(wants, results):
+            assert len(got) == 3
+            assert all(np.array_equal(g, want) for g in got)
 
 
 def bisect_chi2(dof, prob):
