@@ -247,8 +247,7 @@ class TestComedian:
 
     def test_returns_without_waiting_for_a_queued_helper(self, monkeypatch):
         # The pool's one thread is busy, so the helper stays queued: the
-        # caller fills every tile itself and must not wait for it. A forked
-        # child, whose inherited pool has no threads, is the same case.
+        # caller fills every tile itself and must not wait for it.
         X, center = wide_sample()
         with tiling("serial"):
             want = comedian(X, center)
