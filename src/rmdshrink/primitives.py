@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -43,11 +44,12 @@ def _as_vector(v, p: int, name: str) -> np.ndarray:
 
 
 # Threads that fill the comedian, the calling thread included: one per core
-# this process may run on.
+# this process may run on, and at most two, the count the speed and memory
+# were measured at.
 try:
-    _WORKERS = len(os.sched_getaffinity(0))
+    _WORKERS = min(2, len(os.sched_getaffinity(0)))
 except AttributeError:  # no CPU affinity on this OS
-    _WORKERS = os.cpu_count() or 1
+    _WORKERS = min(2, os.cpu_count() or 1)
 
 
 @cache
@@ -86,7 +88,7 @@ def _tiles(n: int, p: int, cap: int) -> list[tuple[int, int, int, int]]:
     return tiles
 
 
-def _fill(S: np.ndarray, Yt: np.ndarray, tiles, size: int) -> None:
+def _fill(S: np.ndarray, Yt: np.ndarray, tiles, lock, size: int) -> None:
     """Fill S's entries for the tiles taken from ``tiles``, and their mirrors, in one buffer."""
     n = Yt.shape[1]
     # Each entry is one in-place selection at h = n // 2; for even n the lower
@@ -98,9 +100,14 @@ def _fill(S: np.ndarray, Yt: np.ndarray, tiles, size: int) -> None:
     # zeros included, is still the median bit for bit, whoever fills a tile.
     h = n // 2
     buf = np.empty(size)
-    # `tiles` is an iterator over a list, shared with the other workers;
-    # next() on it is one C call under the GIL, so each tile is taken once.
-    for a, b, t0, t1 in tiles:
+    while True:
+        # `tiles` is shared with the other workers: taking one under the lock
+        # hands each tile out once, with or without a GIL.
+        with lock:
+            tile = next(tiles, None)
+        if tile is None:
+            return
+        a, b, t0, t1 = tile
         P = buf[: (b - a) * (t1 - t0) * n].reshape(b - a, t1 - t0, n)
         np.multiply(Yt[a:b, None, :], Yt[None, t0:t1, :], out=P)
         P.partition(h, axis=-1)
@@ -122,17 +129,20 @@ def comedian(data, center) -> np.ndarray:
     c = _as_vector(center, X.shape[1], "center")
     n, p = X.shape
     # The upper triangle is cut into tiles whose products fit one worker's
-    # buffer; each worker reuses its own buffer for every tile it takes, so
-    # the buffers together hold about _BLOCK_FLOATS floats and memory stays
-    # O(n*p + p*p). A tile's entries are written, then mirrored: the mirrors
-    # of different tiles are disjoint, so no two workers write one entry.
-    # Each entry is the median of the same sequence as the full product.
+    # buffer; each worker reuses its own buffer for every tile it takes. The
+    # broadcast multiply also holds numpy's ufunc buffer, np.getbufsize()
+    # floats, in each running worker, so that is charged to the worker's
+    # share: all of them together hold about _BLOCK_FLOATS floats and memory
+    # stays O(n*p + p*p). A tile's entries are written, then mirrored: the
+    # mirrors of different tiles are disjoint, so no two workers write one
+    # entry. Each entry is the median of the same sequence as the full product.
     Yt = np.empty((p, n))
     np.subtract(X.T, c[:, None], out=Yt)
     S = np.empty((p, p))
     workers = _WORKERS
-    cap = max(n, _BLOCK_FLOATS // workers)
+    cap = max(n, _BLOCK_FLOATS // workers - np.getbufsize())
     tiles = iter(_tiles(n, p, cap))
+    lock = threading.Lock()
     size = min(n * p * p, cap)
     helpers = []
     # Threads start at about four tiles per worker. Below that they saved
@@ -140,9 +150,9 @@ def comedian(data, center) -> np.ndarray:
     # 0.14 ms alone against 0.5 ms with a helper.
     if workers > 1 and n * p * p >= 4 * workers * cap:
         pool = _pool(workers - 1)
-        helpers = [pool.submit(_fill, S, Yt, tiles, size) for _ in range(workers - 1)]
+        helpers = [pool.submit(_fill, S, Yt, tiles, lock, size) for _ in range(workers - 1)]
     try:
-        _fill(S, Yt, tiles, size)
+        _fill(S, Yt, tiles, lock, size)
     finally:
         # The caller has taken the last tile. A helper still queued has none
         # left and may sit behind another call's helpers: cancel it, and wait

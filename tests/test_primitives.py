@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -187,24 +188,18 @@ class TestComedian:
         assert bool(pools) == threaded
 
     # n = 2k - odd, so 1..39 odd and 2..40 even. Entries and centre come from
-    # a few values, so the middle pair often ties and holds zeros of either sign.
+    # a few values, so the middle pair often ties and holds zeros of either
+    # sign. Each drawn sample runs under every tiling of TILINGS.
     @pytest.mark.parametrize("odd", [0, 1])
     @given(k=st.integers(min_value=1, max_value=20), p=st.integers(min_value=1, max_value=6),
            data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_broadcast_median_on_ties_and_signed_zeros(self, odd, k, p, data):
         X, center, want = drawn_tied_sample(data, 2 * k - odd, p)
-        assert_same_bits(comedian(X, center), want)
-
-    @pytest.mark.parametrize("odd", [0, 1])
-    @given(k=st.integers(min_value=1, max_value=20), p=st.integers(min_value=1, max_value=6),
-           data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_one_column_tiles_match_broadcast_median_on_ties_and_signed_zeros(self, odd, k, p, data):
-        X, center, want = drawn_tied_sample(data, 2 * k - odd, p)
-        with tiling("one-column-tiles") as pools:
-            assert_same_bits(comedian(X, center), want)
-        assert bool(pools) == (p >= 3)
+        for mode in TILINGS:
+            with tiling(mode) as pools:
+                assert_same_bits(comedian(X, center), want)
+            assert bool(pools) == (mode == "one-column-tiles" and p >= 3)
 
     def test_traced_peak_is_bounded_in_n_times_p(self):
         # the n x p x p product alone is 152.6 MiB at p100/n2000; Y' and the
@@ -220,9 +215,11 @@ class TestComedian:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
-    def test_traced_peak_with_two_workers_is_bounded(self, monkeypatch):
-        # each worker's buffer is half of the one buffer of a single worker
-        monkeypatch.setattr(primitives, "_WORKERS", 2)
+    # more workers than the module ever runs: the budget, numpy's ufunc
+    # buffer in each worker included, still holds
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_traced_peak_with_forced_workers_is_bounded(self, monkeypatch, workers):
+        monkeypatch.setattr(primitives, "_WORKERS", workers)
         X, center = wide_sample()
         comedian(X, center)  # the helper threads are made once per process
         tracemalloc.start()
@@ -234,7 +231,7 @@ class TestComedian:
         assert peak <= 4 * 2**20
 
     # simulate_grid's cells and boxplot_table's table
-    @pytest.mark.parametrize("workers", [2, 8, 32])
+    @pytest.mark.parametrize("workers", [2, 8])
     @pytest.mark.parametrize("n, p", [(100, 5), (100, 6), (100, 10), (500, 30), (2000, 5)])
     def test_small_shapes_start_no_thread(self, monkeypatch, n, p, workers):
         def refuse(helpers):
@@ -290,6 +287,43 @@ class TestComedian:
         # the parent's pool has no threads in the child, so the child makes its own
         assert primitives._pool.cache_info().currsize > 0
         assert inherited_pools == 0
+        assert_same_bits(got, want)
+
+    def test_each_tile_is_taken_once_from_a_racy_iterator(self, monkeypatch):
+        # An iterator whose next() lets another thread in between reading and
+        # advancing its position, as a shared iterator may without a GIL.
+        class RacyTiles:
+            def __init__(self, tiles):
+                self.tiles, self.i, self.taken = tiles, 0, []
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                i = self.i
+                time.sleep(1e-4)
+                if i == len(self.tiles):
+                    raise StopIteration
+                self.i = i + 1
+                self.taken.append(self.tiles[i])
+                return self.tiles[i]
+
+        make_tiles = primitives._tiles
+        racy = []
+
+        def racy_tiles(*args):
+            racy.append(RacyTiles(make_tiles(*args)))
+            return racy[-1]
+
+        monkeypatch.setattr(primitives, "_tiles", racy_tiles)
+        X, center = wide_sample(n=2000, p=40)
+        with tiling("serial"):
+            want = comedian(X, center)
+        with tiling("two-workers") as pools:
+            got = comedian(X, center)
+        assert pools
+        taken = racy[-1].taken
+        assert sorted(taken) == sorted(set(taken)) == sorted(racy[-1].tiles)
         assert_same_bits(got, want)
 
     def test_concurrent_callers_each_get_their_serial_result(self, monkeypatch):
