@@ -6,7 +6,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -50,22 +49,6 @@ try:
     _WORKERS = min(2, len(os.sched_getaffinity(0)))
 except AttributeError:  # no CPU affinity on this OS
     _WORKERS = min(2, os.cpu_count() or 1)
-
-
-@cache
-def _pool(helpers: int):
-    """The comedian's helper threads, made on first use and kept for the process."""
-    # Imported here: concurrent.futures imports logging, about 10 ms that a
-    # caller who never reaches the threaded size need not pay.
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=helpers, thread_name_prefix="rmdshrink-comedian")
-
-
-# A forked child has none of its parent's threads, so it makes its own pool;
-# helpers queued on the parent's would hold their arrays for good.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _tiles(n: int, p: int, cap: int) -> list[tuple[int, int, int, int]]:
@@ -144,22 +127,30 @@ def comedian(data, center) -> np.ndarray:
     tiles = iter(_tiles(n, p, cap))
     lock = threading.Lock()
     size = min(n * p * p, cap)
+    errors = []
+
+    def helper():
+        try:
+            _fill(S, Yt, tiles, lock, size)
+        except BaseException as exc:  # raised in the caller after the join
+            errors.append(exc)
+
     helpers = []
-    # Threads start at about four tiles per worker. Below that they saved
-    # nothing on 2 vCPUs: p30/n500 took 0.9-1.0 ms either way, and p5/n2000
-    # 0.14 ms alone against 0.5 ms with a helper.
+    # Threads start at about four tiles per worker. Starting and joining one
+    # costs about 0.1-0.2 ms, and below that size they saved nothing on 2
+    # vCPUs: p30/n500 took 0.9-1.0 ms either way, and p5/n2000 0.14 ms alone
+    # against 0.5 ms with a helper.
     if workers > 1 and n * p * p >= 4 * workers * cap:
-        pool = _pool(workers - 1)
-        helpers = [pool.submit(_fill, S, Yt, tiles, lock, size) for _ in range(workers - 1)]
+        helpers = [threading.Thread(target=helper) for _ in range(workers - 1)]
+        for thread in helpers:
+            thread.start()
     try:
         _fill(S, Yt, tiles, lock, size)
     finally:
-        # The caller has taken the last tile. A helper still queued has none
-        # left and may sit behind another call's helpers: cancel it, and wait
-        # only for the helpers that are running.
-        for helper in helpers:
-            if not helper.cancel():
-                helper.result()
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
     return S
 
 

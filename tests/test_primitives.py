@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -43,22 +42,34 @@ TILINGS = {"serial": (1, None), "two-workers": (2, None), "one-column-tiles": (2
 
 
 @contextmanager
-def tiling(name):
-    """Run the comedian under a tiling of TILINGS; yields the list of pools it asks for."""
-    workers, block_floats = TILINGS[name]
-    make_pool = primitives._pool
-    pools = []
+def helper_threads(workers, block_floats=None, fail=None):
+    """Run the comedian with ``workers`` workers; yields the list of helper threads it starts.
 
-    def pool(helpers):
-        pools.append(helpers)
-        return make_pool(helpers)
+    A helper is a thread other than the caller's that fills tiles. With
+    ``fail``, each helper raises that exception in place of filling.
+    """
+    fill = primitives._fill
+    caller = threading.current_thread()
+    helpers = []
+
+    def recorded_fill(*args):
+        if threading.current_thread() is not caller:
+            helpers.append(threading.current_thread())
+            if fail is not None:
+                raise fail
+        fill(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primitives, "_WORKERS", workers)
         if block_floats is not None:
             mp.setattr(primitives, "_BLOCK_FLOATS", block_floats)
-        mp.setattr(primitives, "_pool", pool)
-        yield pools
+        mp.setattr(primitives, "_fill", recorded_fill)
+        yield helpers
+
+
+def tiling(name):
+    """Run the comedian under a tiling of TILINGS; yields the list of helper threads it starts."""
+    return helper_threads(*TILINGS[name])
 
 
 # (n, p): one block (n*p*p <= 2**18), several blocks, one row per block at
@@ -108,8 +119,8 @@ def wide_sample(seed=5, n=2000, p=100):
 
 
 def comedian_into(conn, X, center):
-    """In a forked child: send how many pools it inherited, then its comedian."""
-    conn.send((primitives._pool.cache_info().currsize, comedian(X, center)))
+    """In a forked child: send its comedian."""
+    conn.send(comedian(X, center))
     conn.close()
 
 
@@ -181,11 +192,11 @@ class TestComedian:
     @pytest.mark.parametrize("n, p", COMEDIAN_SHAPES)
     def test_every_tiling_matches_broadcast_median_bit_for_bit(self, n, p, mode):
         X, center, want = tied_sample(n, p)
-        with tiling(mode) as pools:
+        with tiling(mode) as helpers:
             assert_same_bits(comedian(X, center), want)
         threaded = {"serial": False, "two-workers": (n, p) in {(2000, 100), (7000, 40)},
                     "one-column-tiles": p >= 3}[mode]
-        assert bool(pools) == threaded
+        assert bool(helpers) == threaded
 
     # n = 2k - odd, so 1..39 odd and 2..40 even. Entries and centre come from
     # a few values, so the middle pair often ties and holds zeros of either
@@ -197,9 +208,9 @@ class TestComedian:
     def test_matches_broadcast_median_on_ties_and_signed_zeros(self, odd, k, p, data):
         X, center, want = drawn_tied_sample(data, 2 * k - odd, p)
         for mode in TILINGS:
-            with tiling(mode) as pools:
+            with tiling(mode) as helpers:
                 assert_same_bits(comedian(X, center), want)
-            assert bool(pools) == (mode == "one-column-tiles" and p >= 3)
+            assert bool(helpers) == (mode == "one-column-tiles" and p >= 3)
 
     def test_traced_peak_is_bounded_in_n_times_p(self):
         # the n x p x p product alone is 152.6 MiB at p100/n2000; Y' and the
@@ -216,12 +227,12 @@ class TestComedian:
         assert peak <= 4 * 2**20
 
     # more workers than the module ever runs: the budget, numpy's ufunc
-    # buffer in each worker included, still holds
+    # buffer in each worker and the helper threads the call starts included,
+    # still holds
     @pytest.mark.parametrize("workers", [2, 8])
     def test_traced_peak_with_forced_workers_is_bounded(self, monkeypatch, workers):
         monkeypatch.setattr(primitives, "_WORKERS", workers)
         X, center = wide_sample()
-        comedian(X, center)  # the helper threads are made once per process
         tracemalloc.start()
         try:
             comedian(X, center)
@@ -233,37 +244,32 @@ class TestComedian:
     # simulate_grid's cells and boxplot_table's table
     @pytest.mark.parametrize("workers", [2, 8])
     @pytest.mark.parametrize("n, p", [(100, 5), (100, 6), (100, 10), (500, 30), (2000, 5)])
-    def test_small_shapes_start_no_thread(self, monkeypatch, n, p, workers):
-        def refuse(helpers):
-            raise AssertionError(f"a pool of {helpers} helpers was asked for at n={n}, p={p}")
-
-        monkeypatch.setattr(primitives, "_WORKERS", workers)
-        monkeypatch.setattr(primitives, "_pool", refuse)
+    def test_small_shapes_start_no_thread(self, n, p, workers):
         X, center = wide_sample(n=n, p=p)
-        comedian(X, center)
+        with helper_threads(workers) as helpers:
+            comedian(X, center)
+        assert not helpers, f"{len(helpers)} helper threads started at n={n}, p={p}"
 
-    def test_returns_without_waiting_for_a_queued_helper(self, monkeypatch):
-        # The pool's one thread is busy, so the helper stays queued: the
-        # caller fills every tile itself and must not wait for it.
+    def test_no_thread_outlives_a_threaded_call(self):
         X, center = wide_sample()
-        with tiling("serial"):
-            want = comedian(X, center)
-        busy = ThreadPoolExecutor(max_workers=1)
-        release = threading.Event()
-        busy.submit(release.wait, 60)
-        monkeypatch.setattr(primitives, "_WORKERS", 2)
-        monkeypatch.setattr(primitives, "_pool", lambda helpers: busy)
-        got = []
-        caller = threading.Thread(target=lambda: got.append(comedian(X, center)), daemon=True)
-        try:
-            caller.start()
-            caller.join(20)
-            assert not caller.is_alive(), "comedian waited for a helper that never ran"
-        finally:
-            release.set()
-            caller.join(60)
-            busy.shutdown()
-        assert np.array_equal(got[0], want)
+        before = threading.active_count()
+        with helper_threads(2) as helpers:
+            comedian(X, center)
+        assert helpers
+        assert not any(t.is_alive() for t in helpers)
+        assert threading.active_count() == before
+
+    def test_helper_exception_reaches_the_caller(self):
+        X, center = wide_sample()
+        before = threading.active_count()
+        with pytest.raises(OSError) as raised:
+            with helper_threads(2, fail=OSError("no room for the helper's tile")) as helpers:
+                comedian(X, center)
+        assert raised.type is OSError
+        assert str(raised.value) == "no room for the helper's tile"
+        assert helpers
+        assert not any(t.is_alive() for t in helpers)
+        assert threading.active_count() == before
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method on this platform")
@@ -278,15 +284,12 @@ class TestComedian:
         send.close()
         try:
             assert recv.poll(30), "the forked child did not finish within 30 s"
-            inherited_pools, got = recv.recv()
+            got = recv.recv()
         finally:
             child.join(30)
             if child.is_alive():
                 child.kill()
                 child.join(30)
-        # the parent's pool has no threads in the child, so the child makes its own
-        assert primitives._pool.cache_info().currsize > 0
-        assert inherited_pools == 0
         assert_same_bits(got, want)
 
     def test_each_tile_is_taken_once_from_a_racy_iterator(self, monkeypatch):
@@ -319,16 +322,16 @@ class TestComedian:
         X, center = wide_sample(n=2000, p=40)
         with tiling("serial"):
             want = comedian(X, center)
-        with tiling("two-workers") as pools:
+        with tiling("two-workers") as helpers:
             got = comedian(X, center)
-        assert pools
+        assert helpers
         taken = racy[-1].taken
         assert sorted(taken) == sorted(set(taken)) == sorted(racy[-1].tiles)
         assert_same_bits(got, want)
 
     def test_concurrent_callers_each_get_their_serial_result(self, monkeypatch):
-        # three callers share a pool of two helpers: five threads on however
-        # many cores, each caller on its own input, switching often
+        # three callers with two helpers each: nine threads on however many
+        # cores, each caller on its own input, switching often
         inputs = [wide_sample(seed, n, p) for seed, n, p in
                   [(1, 2000, 30), (2, 1501, 40), (3, 1000, 50)]]
         with tiling("serial"):
