@@ -17,8 +17,9 @@ COMEDIAN_ADJUST = 2.198
 # Positive definite means: smallest eigenvalue > _EIGEN_RTOL * largest.
 _EIGEN_RTOL = 1e-12
 
-# Floats of products held at once in `comedian`, over all its workers:
-# larger blocks fall out of cache.
+# Floats that the workers of one call hold at once, over all of them: the
+# comedian's products, or the depth kernel's blocks. Larger blocks fall out
+# of cache.
 _BLOCK_FLOATS = 2**18
 
 
@@ -42,9 +43,9 @@ def _as_vector(v, p: int, name: str) -> np.ndarray:
     return arr
 
 
-# Threads that fill the comedian, the calling thread included: one per core
-# this process may run on, and at most two, the count the speed and memory
-# were measured at.
+# Threads that run the comedian and the depth kernel, the calling thread
+# included: one per core this process may run on, and at most two, the count
+# the speed and memory were measured at.
 try:
     _WORKERS = min(2, len(os.sched_getaffinity(0)))
 except AttributeError:  # no CPU affinity on this OS
@@ -71,8 +72,53 @@ def _tiles(n: int, p: int, cap: int) -> list[tuple[int, int, int, int]]:
     return tiles
 
 
-def _fill(S: np.ndarray, Yt: np.ndarray, tiles, lock, size: int) -> None:
-    """Fill S's entries for the tiles taken from ``tiles``, and their mirrors, in one buffer."""
+def _run(work, tasks, load: float, workers: int) -> None:
+    """Run ``work(take)`` in the caller and, for a large enough ``load``, in helper threads.
+
+    ``take()`` returns the next of ``tasks``, or None once all are taken; it
+    hands each task out once, whichever worker asks. ``load`` is the work in
+    full tasks. From four of them per worker on, ``workers`` - 1 helper
+    threads run ``work`` too; they are joined before this returns, and an
+    exception raised in one is raised here.
+    """
+    tasks = iter(tasks)
+    lock = threading.Lock()
+
+    def take():
+        # `tasks` is shared with the other workers: taking one under the lock
+        # hands each task out once, with or without a GIL.
+        with lock:
+            return next(tasks, None)
+
+    errors = []
+
+    def helper():
+        try:
+            work(take)
+        except BaseException as exc:  # raised in the caller after the join
+            errors.append(exc)
+
+    helpers = []
+    try:
+        # Starting and joining a thread costs about 0.1-0.2 ms, and below four
+        # tasks per worker helpers saved nothing on 2 vCPUs: the comedian at
+        # p30/n500 took 0.9-1.0 ms either way, and at p5/n2000 0.14 ms alone
+        # against 0.5 ms with a helper.
+        if workers > 1 and load >= 4 * workers:
+            for _ in range(workers - 1):
+                thread = threading.Thread(target=helper)
+                thread.start()
+                helpers.append(thread)
+        work(take)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _fill(S: np.ndarray, Yt: np.ndarray, take, size: int) -> None:
+    """Fill S's entries for the tiles from ``take()``, and their mirrors, in one buffer."""
     n = Yt.shape[1]
     # Each entry is one in-place selection at h = n // 2; for even n the lower
     # middle is the max of the lower half. np.median selects at h - 1, h and
@@ -83,13 +129,7 @@ def _fill(S: np.ndarray, Yt: np.ndarray, tiles, lock, size: int) -> None:
     # zeros included, is still the median bit for bit, whoever fills a tile.
     h = n // 2
     buf = np.empty(size)
-    while True:
-        # `tiles` is shared with the other workers: taking one under the lock
-        # hands each tile out once, with or without a GIL.
-        with lock:
-            tile = next(tiles, None)
-        if tile is None:
-            return
+    while (tile := take()) is not None:
         a, b, t0, t1 = tile
         P = buf[: (b - a) * (t1 - t0) * n].reshape(b - a, t1 - t0, n)
         np.multiply(Yt[a:b, None, :], Yt[None, t0:t1, :], out=P)
@@ -124,33 +164,8 @@ def comedian(data, center) -> np.ndarray:
     S = np.empty((p, p))
     workers = _WORKERS
     cap = max(n, _BLOCK_FLOATS // workers - np.getbufsize())
-    tiles = iter(_tiles(n, p, cap))
-    lock = threading.Lock()
     size = min(n * p * p, cap)
-    errors = []
-
-    def helper():
-        try:
-            _fill(S, Yt, tiles, lock, size)
-        except BaseException as exc:  # raised in the caller after the join
-            errors.append(exc)
-
-    helpers = []
-    # Threads start at about four tiles per worker. Starting and joining one
-    # costs about 0.1-0.2 ms, and below that size they saved nothing on 2
-    # vCPUs: p30/n500 took 0.9-1.0 ms either way, and p5/n2000 0.14 ms alone
-    # against 0.5 ms with a helper.
-    if workers > 1 and n * p * p >= 4 * workers * cap:
-        helpers = [threading.Thread(target=helper) for _ in range(workers - 1)]
-        for thread in helpers:
-            thread.start()
-    try:
-        _fill(S, Yt, tiles, lock, size)
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _run(lambda take: _fill(S, Yt, take, size), _tiles(n, p, cap), n * p * p / cap, workers)
     return S
 
 
