@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,7 @@ def detect(data, variant: str = "v6", quantile: float = DEFAULT_QUANTILE) -> Det
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must lie strictly inside (0, 1)")
     if n <= p:
-        warnings.warn(
-            "fewer observations than dimensions; estimates are unstable",
-            stacklevel=2,
-        )
+        raise ValueError(f"need more observations than dimensions, got n = {n}, p = {p}")
     loc, scat = scatter_for_variant(X, variant)
     d2 = rmd_squared(X, loc, scat)
     threshold = chi2_quantile(p, quantile)

@@ -190,13 +190,19 @@ def chi2_quantile(dof: int, prob: float) -> float:
 class PDMatrix:
     """Symmetric positive-definite matrix with its eigen-decomposition, eigenvalues ascending.
 
-    The three arrays are read-only and not shared with the caller, so the
-    cached decomposition always matches ``entries``.
+    Every instance refuses lambda_min <= _EIGEN_RTOL * lambda_max and makes its three
+    arrays read-only. ``from_symmetric`` also copies, so its arrays are not shared.
     """
 
     entries: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        if self.eigenvalues[0] <= _EIGEN_RTOL * self.eigenvalues[-1]:
+            raise ValueError("matrix is not positive definite")
+        for arr in (self.entries, self.eigenvalues, self.eigenvectors):
+            arr.flags.writeable = False
 
     @classmethod
     def from_symmetric(cls, entries) -> "PDMatrix":
@@ -209,12 +215,7 @@ class PDMatrix:
             if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * float(np.abs(m).max())):
                 raise ValueError("matrix is not symmetric")
             m = 0.5 * (m + m.T)
-        lam, V = np.linalg.eigh(m)
-        if lam[0] <= _EIGEN_RTOL * lam[-1]:
-            raise ValueError("matrix is not positive definite")
-        for arr in (m, lam, V):
-            arr.flags.writeable = False
-        return cls(entries=m, eigenvalues=lam, eigenvectors=V)
+        return cls(m, *np.linalg.eigh(m))
 
     @property
     def dim(self) -> int:

@@ -70,7 +70,11 @@ def shrink_scatter(data, center) -> ScatterEstimate:
     b2 = (float((q * q).sum()) - 2.0 * cross + n * frob2_S) / (n * n * p)
     eta = _intensity(b2, d2)
     combined = (1.0 - eta) * S + eta * target
-    return ScatterEstimate(matrix=PDMatrix.from_symmetric(combined), eta=eta, nu_sigma=nu)
+    if not np.isfinite(combined).all():
+        raise ValueError("matrix contains NaN or infinite entries")
+    # combined keeps S's eigenvectors; each eigenvalue lam maps to (1 - eta) lam + eta nu.
+    lam, V = np.linalg.eigh(S)
+    return ScatterEstimate(PDMatrix(combined, (1.0 - eta) * lam + eta * nu, V), eta, nu)
 
 
 def scatter_for_variant(data, variant: str) -> tuple[LocationEstimate, ScatterEstimate]:

@@ -353,7 +353,6 @@ class TestSimulate:
         assert [p for p in os.listdir(tmp_path) if p.endswith(".part")] == []
 
 
-    @pytest.mark.filterwarnings("ignore:fewer observations than dimensions")
     def test_refused_scenario_is_skipped_and_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         configs = refused_between_good_configs()
@@ -442,7 +441,6 @@ class TestBench:
         spec = parse_scenarios(json.dumps(config))[0]
         assert header == list(scenario_row("bench", run_scenario(spec)))
 
-    @pytest.mark.filterwarnings("ignore:fewer observations than dimensions")
     def test_refused_scenario_is_skipped_and_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         configs = refused_between_good_configs()

@@ -1,6 +1,5 @@
 """End-to-end detection behavior: distances, thresholds, invariances."""
 
-import contextlib
 import dataclasses
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from rmdshrink.detector import DEFAULT_QUANTILE, detect, rmd_squared
 from rmdshrink.primitives import chi2_quantile
-from rmdshrink.scatter import scatter_for_variant
+from rmdshrink.scatter import VARIANTS, scatter_for_variant
 from rmdshrink.simulate import ScenarioSpec, generate, metrics
 
 
@@ -136,12 +135,15 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect(X, "v9")
 
-    def test_warns_when_rows_do_not_exceed_columns(self):
+    def test_refuses_when_rows_do_not_exceed_columns(self):
+        # one rule for every variant, whatever the estimators would make of it
         rng = np.random.default_rng(18)
-        X = rng.standard_normal((4, 4)) + 10.0 * np.eye(4)
-        with pytest.warns(UserWarning):
-            with contextlib.suppress(ValueError):
-                detect(X, "v1")
+        for n, p in [(3, 5), (10, 20), (5, 5)]:
+            X = rng.standard_normal((n, p))
+            message = f"^need more observations than dimensions, got n = {n}, p = {p}$"
+            for variant in VARIANTS:
+                with pytest.raises(ValueError, match=message):
+                    detect(X, variant)
 
     def test_constant_data_rejected(self):
         X = np.tile([1.0, 2.0], (25, 1))

@@ -465,6 +465,21 @@ class TestPDMatrix:
         with pytest.raises(ValueError, match="read-only"):
             getattr(m, field)[0] = 4.0
 
+    @pytest.mark.parametrize("lam", [[0.0, 1.0], [-1.0, 1.0], [1e-12, 1.0], [5e-13, 1.0],
+                                     [-2.0, -1.0]])
+    def test_direct_build_obeys_the_eigenvalue_rule(self, lam):
+        # the rule lives in the type, so a build that skips from_symmetric obeys it too
+        lam = np.array(lam)
+        with pytest.raises(ValueError, match="^matrix is not positive definite$"):
+            PDMatrix(np.diag(lam), lam, np.eye(2))
+
+    def test_direct_build_arrays_are_read_only(self):
+        lam = np.array([1.0, 2.0])
+        m = PDMatrix(np.diag(lam), lam, np.eye(2))
+        for arr in (m.entries, m.eigenvalues, m.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 4.0
+
     def test_input_is_copied(self):
         a = np.eye(2)
         m = PDMatrix.from_symmetric(a)

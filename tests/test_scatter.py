@@ -5,6 +5,7 @@ positive definiteness, and the grid-search optimality oracle.
 import numpy as np
 import pytest
 
+from rmdshrink.detector import detect
 from rmdshrink.location import ccm_median, l1_median, shrink_ccm, shrink_mm
 from rmdshrink.primitives import PDMatrix, adjusted_comedian
 from rmdshrink.scatter import VARIANTS, scatter_for_variant, shrink_scatter
@@ -21,6 +22,15 @@ def small_sample(rng):
     else:
         X = rng.standard_t(df=3, size=(n, p))
     return X * rng.uniform(0.2, 5.0) + rng.uniform(-10.0, 10.0, size=p)
+
+
+# Samples whose scatter intensity is 1, inside (0, 1), and inside (0, 1) on
+# an indefinite comedian (the sample of the repair test below).
+DECOMPOSITION_SAMPLES = {
+    "eta_one": np.random.default_rng(1).standard_normal((40, 4)),
+    "eta_inside": np.random.default_rng(0).standard_normal((200, 4)) * [1.0, 2.0, 4.0, 8.0],
+    "indefinite_comedian": np.array([[0.1, -0.1], [1.0, 1.0], [-1.0, -1.0]]),
+}
 
 
 class TestShrinkScatter:
@@ -131,6 +141,25 @@ class TestShrinkScatter:
         assert m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] > 0.0
         assert m[0, 0] + m[1, 1] > 0.0
 
+    @pytest.mark.parametrize("name", DECOMPOSITION_SAMPLES)
+    def test_decomposition_derived_from_the_comedian_reproduces_entries(self, name):
+        X = DECOMPOSITION_SAMPLES[name]
+        est = shrink_scatter(X, ccm_median(X).center)
+        assert 0.0 < est.eta <= 1.0 and (est.eta == 1.0) == (name == "eta_one")
+        m = est.matrix
+        lam, V = m.eigenvalues, m.eigenvectors
+        resid = np.abs(V @ np.diag(lam) @ V.T - m.entries).max()
+        assert resid <= 1e-12 * np.abs(m.entries).max()
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.abs(V.T @ V - np.eye(m.dim)).max() <= 1e-12
+
+    def test_nonfinite_comedian_refused(self):
+        # products of entries near 1e150 overflow, so the comedian holds inf
+        X = np.random.default_rng(0).standard_normal((50, 3)) * 1e150
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^matrix contains NaN or infinite entries$"):
+                shrink_scatter(X, ccm_median(X).center)
+
     def test_constant_data_rejected(self):
         X = np.tile([2.0, 5.0, -1.0], (10, 1))
         with pytest.raises(ValueError, match="scatter degenerate"):
@@ -228,3 +257,19 @@ class TestScatterForVariant:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             scatter_for_variant(np.ones((5, 2)), "v7")
+
+    @pytest.mark.parametrize("variant, calls",
+                             [("v1", 1), ("v2", 1), ("v3", 1), ("v4", 1), ("v5", 2), ("v6", 2)])
+    def test_one_eigh_per_scatter(self, monkeypatch, variant, calls):
+        # the scatter's decomposition is the comedian's; v5 and v6 also decompose
+        # the sandwich matrix of their location intensity
+        seen = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        detect(np.random.default_rng(3).standard_normal((60, 4)), variant)
+        assert seen == [(4, 4)] * calls

@@ -277,7 +277,6 @@ class TestRunScenario:
         assert rep.c_mean == 1.0
         assert rep.f_mean <= 0.01
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_replicate_failure_carries_context(self):
         # a single-row sample cannot support any scatter estimate, so every
         # replicate fails and the abort message names the replicate
