@@ -30,8 +30,6 @@ def rmd_squared(data, loc: LocationEstimate, scat: ScatterEstimate) -> np.ndarra
     """Squared robust Mahalanobis distance of every row."""
     X = as_data_matrix(data)
     center = _as_vector(loc.center, X.shape[1], "center")
-    if X.shape[1] != scat.matrix.dim:
-        raise ValueError("dimension mismatch between data and estimates")
     return quad_form_rows(scat.matrix, X - center)
 
 

@@ -165,12 +165,11 @@ def scenario_row(command: str, report: MetricsReport) -> dict:
 
 
 def rows_to_csv(columns, rows) -> str:
-    """CSV with a header row; floats are written with repr so they read back exactly."""
+    """CSV with a header row; floats are written as str, which reads back exactly."""
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

@@ -116,17 +116,16 @@ def sandwich_trace(data, center) -> float:
     return float(np.sum(W)) / (m * n)
 
 
-def _intensity(proxy: float, distance2: float) -> float:
-    """proxy / distance2 clipped to [0, 1]; 1 when the estimate sits on its target."""
-    if distance2 <= _TARGET_FLOOR:
-        return 1.0
-    return min(max(proxy / distance2, 0.0), 1.0)
-
-
 def _shrink_toward_common(mu: np.ndarray, numerator: float) -> tuple[np.ndarray, float, float]:
+    """Pull mu's entries toward their mean nu; return the result, eta and nu.
+
+    eta is numerator / |mu - nu|^2 clipped to [0, 1], or 1 on the target. The
+    location shrinks a median's coordinates, and the scatter the comedian's eigenvalues.
+    """
     nu = float(mu.mean())
     gap = mu - nu
-    eta = _intensity(numerator, float(gap @ gap))
+    distance2 = float(gap @ gap)
+    eta = 1.0 if distance2 <= _TARGET_FLOOR else min(max(numerator / distance2, 0.0), 1.0)
     return (1.0 - eta) * mu + eta * nu, eta, nu
 
 

@@ -199,7 +199,7 @@ class PDMatrix:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        if self.eigenvalues[0] <= _EIGEN_RTOL * self.eigenvalues[-1]:
+        if not self.eigenvalues[0] > _EIGEN_RTOL * self.eigenvalues[-1]:
             raise ValueError("matrix is not positive definite")
         for arr in (self.entries, self.eigenvalues, self.eigenvectors):
             arr.flags.writeable = False

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .location import LocationEstimate, _intensity, ccm_median, l1_median, shrink_ccm, shrink_mm
+from .location import (
+    LocationEstimate, _shrink_toward_common, ccm_median, l1_median, shrink_ccm, shrink_mm
+)
 from .primitives import PDMatrix, adjusted_comedian, as_data_matrix
 
 _DISPERSION_FLOOR = 1e-12
@@ -44,10 +46,11 @@ class ScatterEstimate:
 def shrink_scatter(data, center) -> ScatterEstimate:
     """Shrink the adjusted comedian at the given center toward nu * I.
 
-    nu is trace/p, so the combination preserves the trace. The intensity is
-    a plug-in ratio: a variance proxy b2 for the comedian against its
-    squared distance d2 from the spherical target, truncated at 1. All
-    matrix norms here are trace(AA')/p.
+    Shrinking toward nu * I keeps the comedian's eigenvectors and pulls its
+    eigenvalues toward their mean nu, so it is the location's rule applied to
+    the spectrum, and the trace is kept. The intensity is a plug-in ratio: a
+    variance proxy for the comedian against the squared distance of its
+    eigenvalues from nu, truncated at 1.
     """
     X = as_data_matrix(data)
     c = np.asarray(center, dtype=float).ravel()
@@ -55,26 +58,23 @@ def shrink_scatter(data, center) -> ScatterEstimate:
     if n < 2:
         raise ValueError("need at least two observations")
     S = adjusted_comedian(X, c)
-    trace_S = float(np.trace(S))
-    if trace_S <= _DISPERSION_FLOOR:
+    if float(np.trace(S)) <= _DISPERSION_FLOOR:
         raise ValueError("scatter degenerate: no dispersion")
-    nu = trace_S / p
-    target = nu * np.eye(p)
-    deviation = S - target
-    d2 = float((deviation * deviation).sum()) / p
+    if not np.isfinite(S).all():
+        raise ValueError("matrix contains NaN or infinite entries")
+    lam, V = np.linalg.eigh(S)
     Y = X - c
     q = np.einsum("ij,ij->i", Y, Y)
     # sum_i y_i' S y_i = sum(S o Y'Y), one BLAS product instead of n quadratic forms
     cross = float((S * (Y.T @ Y)).sum())
-    frob2_S = float((S * S).sum())
-    b2 = (float((q * q).sum()) - 2.0 * cross + n * frob2_S) / (n * n * p)
-    eta = _intensity(b2, d2)
-    combined = (1.0 - eta) * S + eta * target
+    # mean_i |y_i y_i' - S|^2 / n, with |S|^2 = lam'lam
+    proxy = (float((q * q).sum()) - 2.0 * cross + n * float(lam @ lam)) / (n * n)
+    spectrum, eta, nu = _shrink_toward_common(lam, proxy)
+    combined = (1.0 - eta) * S + eta * nu * np.eye(p)
+    # S is finite here, but eta is NaN when the proxy's sums overflow to inf - inf.
     if not np.isfinite(combined).all():
         raise ValueError("matrix contains NaN or infinite entries")
-    # combined keeps S's eigenvectors; each eigenvalue lam maps to (1 - eta) lam + eta nu.
-    lam, V = np.linalg.eigh(S)
-    return ScatterEstimate(PDMatrix(combined, (1.0 - eta) * lam + eta * nu, V), eta, nu)
+    return ScatterEstimate(PDMatrix(combined, spectrum, V), eta, nu)
 
 
 def scatter_for_variant(data, variant: str) -> tuple[LocationEstimate, ScatterEstimate]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rmdshrink.cli import build_parser, main
-from rmdshrink.io import parse_scenarios, scenario_id, scenario_row
+from rmdshrink.io import parse_scenarios, rows_to_csv, scenario_id, scenario_row
 from rmdshrink.simulate import run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -343,6 +343,9 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--output", str(first)]) == 0
         assert main(["simulate", "--config", str(cfg), "--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_numpy_and_python_floats_are_written_alike(self):
+        assert rows_to_csv(["a", "b"], [{"a": np.float64(0.1), "b": 0.1}]) == "a,b\n0.1,0.1\n"
 
     def test_no_partial_files_left_behind(self, tmp_path):
         cfg = tmp_path / "cfg.json"

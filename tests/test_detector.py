@@ -45,6 +45,14 @@ class TestRmdSquared:
         with pytest.raises(ValueError):
             rmd_squared(np.ones((4, 2)), loc, scat)
 
+    def test_scatter_of_another_width_rejected(self):
+        # the centre fits the data, so the scatter's width is what is checked
+        X = np.random.default_rng(7).standard_normal((20, 3))
+        loc, _ = scatter_for_variant(X, "v1")
+        _, scat = scatter_for_variant(X[:, :2], "v1")
+        with pytest.raises(ValueError, match="^row width does not match matrix dimension$"):
+            rmd_squared(X, loc, scat)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_center_rejected(self, bad):
         X = np.random.default_rng(7).standard_normal((20, 3))

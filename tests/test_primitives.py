@@ -466,7 +466,7 @@ class TestPDMatrix:
             getattr(m, field)[0] = 4.0
 
     @pytest.mark.parametrize("lam", [[0.0, 1.0], [-1.0, 1.0], [1e-12, 1.0], [5e-13, 1.0],
-                                     [-2.0, -1.0]])
+                                     [-2.0, -1.0], [np.nan, 1.0], [1.0, np.nan]])
     def test_direct_build_obeys_the_eigenvalue_rule(self, lam):
         # the rule lives in the type, so a build that skips from_symmetric obeys it too
         lam = np.array(lam)

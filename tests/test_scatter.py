@@ -85,6 +85,22 @@ class TestShrinkScatter:
         est = shrink_scatter(X, ccm_median(X).center)
         assert 0.0 <= est.eta <= 1.0
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_intensity_matches_the_plug_in(self, seed):
+        # the matrix form of the rule the scatter applies to the spectrum:
+        # b2 = mean_i |y_i y_i' - S|^2 / n and d2 = |S - nu I|^2, norms trace(AA')/p
+        X = small_sample(np.random.default_rng(seed + 2000))
+        center = ccm_median(X).center
+        n, p = X.shape
+        S = adjusted_comedian(X, center)
+        nu = np.trace(S) / p
+        Y = X - center
+        b2 = sum(((np.outer(y, y) - S) ** 2).sum() for y in Y) / (n * n * p)
+        d2 = ((S - nu * np.eye(p)) ** 2).sum() / p
+        est = shrink_scatter(X, center)
+        assert abs(est.eta - min(max(b2 / d2, 0.0), 1.0)) <= 1e-12
+        assert abs(est.nu_sigma - nu) <= 1e-12 * abs(nu)
+
     def test_construction_is_positive_definite_or_surfaced_error(self):
         # the shrunk matrix has no positive-definiteness guarantee when the
         # raw comedian is indefinite and the intensity lands below
@@ -154,8 +170,17 @@ class TestShrinkScatter:
         assert np.abs(V.T @ V - np.eye(m.dim)).max() <= 1e-12
 
     def test_nonfinite_comedian_refused(self):
-        # products of entries near 1e150 overflow, so the comedian holds inf
+        # near 1e150 the comedian's entries stay finite, near 1e300, but the
+        # variance proxy's sums overflow to inf - inf, so the intensity is NaN
         X = np.random.default_rng(0).standard_normal((50, 3)) * 1e150
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^matrix contains NaN or infinite entries$"):
+                shrink_scatter(X, ccm_median(X).center)
+
+    def test_infinite_comedian_refused_before_its_decomposition(self):
+        # products of entries near 1e160 overflow, so the comedian holds inf,
+        # on which eigh would raise LinAlgError
+        X = np.random.default_rng(0).standard_normal((50, 3)) * 1e160
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="^matrix contains NaN or infinite entries$"):
                 shrink_scatter(X, ccm_median(X).center)
