@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,31 +91,19 @@ def _run(work, tasks, load: float, workers: int) -> None:
         with lock:
             return next(tasks, None)
 
-    errors = []
-
-    def helper():
-        try:
-            work(take)
-        except BaseException as exc:  # raised in the caller after the join
-            errors.append(exc)
-
-    helpers = []
-    try:
-        # Starting and joining a thread costs about 0.1-0.2 ms, and below four
-        # tasks per worker helpers saved nothing on 2 vCPUs: the comedian at
-        # p30/n500 took 0.9-1.0 ms either way, and at p5/n2000 0.14 ms alone
-        # against 0.5 ms with a helper.
-        if workers > 1 and load >= 4 * workers:
-            for _ in range(workers - 1):
-                thread = threading.Thread(target=helper)
-                thread.start()
-                helpers.append(thread)
+    # Starting and joining a thread costs about 0.1-0.2 ms, and below four
+    # tasks per worker helpers saved nothing on 2 vCPUs: the comedian at
+    # p30/n500 took 0.9-1.0 ms either way, and at p5/n2000 0.14 ms alone
+    # against 0.5 ms with a helper.
+    if workers < 2 or load < 4 * workers:
         work(take)
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
+        return
+    # Leaving the pool joins the helpers, also when the caller's work raises.
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work, take) for _ in range(workers - 1)]
+        work(take)
+    for helper in helpers:
+        helper.result()
 
 
 def _fill(S: np.ndarray, Yt: np.ndarray, take, size: int) -> None:

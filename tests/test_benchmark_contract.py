@@ -14,14 +14,14 @@ where a change to the distance computation moves d2 the most.
 
 import importlib.util
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rmdshrink as rm
-from rmdshrink import depth, primitives, scatter
+from conftest import helper_threads
+from rmdshrink import depth, scatter
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -98,24 +98,15 @@ def test_boxplot_passes_the_benchmark_check(tmp_path):
     workload.check({op.key: op.run()})
 
 
-def test_boxplot_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+def test_boxplot_bytes_do_not_depend_on_the_worker_count(tmp_path):
     workload = workloads.BoxplotTable(seed=1, workdir=str(tmp_path))
     workload.build()
     (op,) = workload.ops
-    fill = depth._fill
-    threads = set()
-
-    def recorded_fill(*args):
-        threads.add(threading.current_thread())
-        fill(*args)
-
-    monkeypatch.setattr(depth, "_fill", recorded_fill)
     outputs = []
     for workers in (1, 2):
-        monkeypatch.setattr(primitives, "_WORKERS", workers)
-        threads.clear()
-        op.run()
-        assert len(threads) == workers
+        with helper_threads(depth, workers) as helpers:
+            op.run()
+        assert len(set(helpers)) == workers - 1
         outputs.append(Path(workload.out).read_bytes())
     assert outputs[0] == outputs[1]
 

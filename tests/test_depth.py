@@ -3,40 +3,14 @@
 import threading
 import tracemalloc
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from rmdshrink import depth, primitives
+from conftest import helper_threads
+from rmdshrink import depth
 from rmdshrink.depth import BoxplotSummary, boxplot_summary, l1_depth
 from rmdshrink.location import l1_median
-
-
-@contextmanager
-def helper_threads(workers, block_floats=None, fail=None):
-    """Run the depth kernel with ``workers`` workers; yields the list of helper threads it starts.
-
-    A helper is a thread other than the caller's that fills blocks. With
-    ``fail``, each helper raises that exception in place of filling.
-    """
-    fill = depth._fill
-    caller = threading.current_thread()
-    helpers = []
-
-    def recorded_fill(*args):
-        if threading.current_thread() is not caller:
-            helpers.append(threading.current_thread())
-            if fail is not None:
-                raise fail
-        fill(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primitives, "_WORKERS", workers)
-        if block_floats is not None:
-            mp.setattr(depth, "_BLOCK_FLOATS", block_floats)
-        mp.setattr(depth, "_fill", recorded_fill)
-        yield helpers
 
 
 def depth_oracle(X, point):
@@ -180,10 +154,10 @@ class TestKernelThreads:
         X = make()
         if rows == "one-row-blocks":
             block_floats = 1
-        with helper_threads(1, block_floats) as helpers:
+        with helper_threads(depth, 1, block_floats) as helpers:
             want = depth._depths(X, X)
         assert not helpers
-        with helper_threads(workers, block_floats) as helpers:
+        with helper_threads(depth, workers, block_floats) as helpers:
             got = depth._depths(X, X)
         assert np.array_equal(got, want)
         n = X.shape[0]
@@ -193,7 +167,7 @@ class TestKernelThreads:
     @pytest.mark.parametrize("workers", [2, 8])
     def test_one_point_starts_no_thread(self, workers):
         X = np.random.default_rng(5).standard_normal((2000, 5))
-        with helper_threads(workers) as helpers:
+        with helper_threads(depth, workers) as helpers:
             l1_depth(X, X[0])
         assert not helpers
 
@@ -201,14 +175,14 @@ class TestKernelThreads:
     @pytest.mark.parametrize("n, p", [(10, 2), (100, 5), (100, 30)])
     def test_small_tables_start_no_thread(self, n, p, workers):
         X = np.random.default_rng(n).standard_normal((n, p))
-        with helper_threads(workers) as helpers:
+        with helper_threads(depth, workers) as helpers:
             boxplot_summary(X, np.zeros(n, dtype=bool))
         assert not helpers, f"{len(helpers)} helper threads started at n={n}, p={p}"
 
     def test_no_thread_outlives_a_threaded_summary(self):
         X = np.random.default_rng(5).standard_normal((2000, 5))
         before = threading.active_count()
-        with helper_threads(2) as helpers:
+        with helper_threads(depth, 2) as helpers:
             boxplot_summary(X, np.zeros(2000, dtype=bool))
         assert helpers
         assert not any(t.is_alive() for t in helpers)
@@ -218,7 +192,7 @@ class TestKernelThreads:
         X = np.random.default_rng(5).standard_normal((2000, 5))
         before = threading.active_count()
         with pytest.raises(MemoryError) as raised:
-            with helper_threads(2, fail=MemoryError("no room for the helper's block")) as helpers:
+            with helper_threads(depth, 2, fail=MemoryError("no room for the helper's block")) as helpers:
                 boxplot_summary(X, np.zeros(2000, dtype=bool))
         assert raised.type is MemoryError
         assert str(raised.value) == "no room for the helper's block"
@@ -232,7 +206,7 @@ class TestKernelThreads:
     def test_traced_peak_with_forced_workers_is_bounded(self, workers):
         X = np.random.default_rng(5).standard_normal((2000, 5))
         flags = np.zeros(2000, dtype=bool)
-        with helper_threads(workers) as helpers:
+        with helper_threads(depth, workers) as helpers:
             tracemalloc.start()
             try:
                 boxplot_summary(X, flags)

@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
+from conftest import helper_threads
 from rmdshrink import primitives
 from rmdshrink.primitives import (
     COMEDIAN_ADJUST,
@@ -41,35 +41,9 @@ def random_pd(rng, p):
 TILINGS = {"serial": (1, None), "two-workers": (2, None), "one-column-tiles": (2, 2)}
 
 
-@contextmanager
-def helper_threads(workers, block_floats=None, fail=None):
-    """Run the comedian with ``workers`` workers; yields the list of helper threads it starts.
-
-    A helper is a thread other than the caller's that fills tiles. With
-    ``fail``, each helper raises that exception in place of filling.
-    """
-    fill = primitives._fill
-    caller = threading.current_thread()
-    helpers = []
-
-    def recorded_fill(*args):
-        if threading.current_thread() is not caller:
-            helpers.append(threading.current_thread())
-            if fail is not None:
-                raise fail
-        fill(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primitives, "_WORKERS", workers)
-        if block_floats is not None:
-            mp.setattr(primitives, "_BLOCK_FLOATS", block_floats)
-        mp.setattr(primitives, "_fill", recorded_fill)
-        yield helpers
-
-
 def tiling(name):
     """Run the comedian under a tiling of TILINGS; yields the list of helper threads it starts."""
-    return helper_threads(*TILINGS[name])
+    return helper_threads(primitives, *TILINGS[name])
 
 
 # (n, p): one block (n*p*p <= 2**18), several blocks, one row per block at
@@ -246,14 +220,14 @@ class TestComedian:
     @pytest.mark.parametrize("n, p", [(100, 5), (100, 6), (100, 10), (500, 30), (2000, 5)])
     def test_small_shapes_start_no_thread(self, n, p, workers):
         X, center = wide_sample(n=n, p=p)
-        with helper_threads(workers) as helpers:
+        with helper_threads(primitives, workers) as helpers:
             comedian(X, center)
         assert not helpers, f"{len(helpers)} helper threads started at n={n}, p={p}"
 
     def test_no_thread_outlives_a_threaded_call(self):
         X, center = wide_sample()
         before = threading.active_count()
-        with helper_threads(2) as helpers:
+        with helper_threads(primitives, 2) as helpers:
             comedian(X, center)
         assert helpers
         assert not any(t.is_alive() for t in helpers)
@@ -263,7 +237,7 @@ class TestComedian:
         X, center = wide_sample()
         before = threading.active_count()
         with pytest.raises(OSError) as raised:
-            with helper_threads(2, fail=OSError("no room for the helper's tile")) as helpers:
+            with helper_threads(primitives, 2, fail=OSError("no room for the helper's tile")) as helpers:
                 comedian(X, center)
         assert raised.type is OSError
         assert str(raised.value) == "no room for the helper's tile"
@@ -357,6 +331,76 @@ class TestComedian:
         for want, got in zip(wants, results):
             assert len(got) == 3
             assert all(np.array_equal(g, want) for g in got)
+
+
+def recording_work():
+    """A ``work`` for primitives._run, and the lists of the tasks it takes and the threads it runs in."""
+    taken, threads = [], []
+
+    def work(take):
+        threads.append(threading.current_thread())
+        while (task := take()) is not None:
+            taken.append(task)
+
+    return work, taken, threads
+
+
+class TestRun:
+    """primitives._run on numbered tasks, where a task handed out twice shows."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_task_is_taken_once(self, workers):
+        caller = threading.current_thread()
+        work, taken, threads = recording_work()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            primitives._run(work, range(1000), 1000, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(1000))
+        helpers = [t for t in threads if t is not caller]
+        assert len(threads) == workers and threads.count(caller) == 1
+        assert helpers and not any(t.is_alive() for t in helpers)
+
+    def test_callers_exception_wins_and_no_helper_outlives_the_call(self):
+        caller = threading.current_thread()
+        before = threading.active_count()
+        helper_running = threading.Event()
+        helpers, finished = [], []
+
+        def work(take):
+            if threading.current_thread() is caller:
+                if not helper_running.wait(10):
+                    pytest.fail("no helper ran within 10 s")
+                raise KeyError("the caller's task")
+            helpers.append(threading.current_thread())
+            helper_running.set()
+            time.sleep(0.05)  # still running when the caller raises
+            finished.append(threading.current_thread())
+            raise ValueError("the helper's task")
+
+        with pytest.raises(KeyError, match="the caller's task"):
+            primitives._run(work, range(8), 8, 2)
+        assert finished == helpers and len(helpers) == 1
+        assert not helpers[0].is_alive()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers, load", [(1, 1000), (2, 7), (3, 11)])
+    def test_below_the_threshold_no_thread_starts(self, monkeypatch, workers, load):
+        start = threading.Thread.start
+        started = []
+
+        def recorded_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        work, taken, threads = recording_work()
+        primitives._run(work, range(load), load, workers)
+        assert not started
+        assert threads == [threading.current_thread()]
+        assert taken == list(range(load))
 
 
 def bisect_chi2(dof, prob):
